@@ -90,13 +90,20 @@ def inadmissible_scan(sys, entries, stop_first=False):
 def decide_search(sys, budget=None, exhaust=False, prefix=()):
     """Depth-first search for an admissible permutation.
 
-    Extends prefixes by unused points in ascending order; every proper
-    segment ending at the new position whose length is a multiple of 3
-    is tested, and any partitionable one prunes the branch.  Returns
-    (witness or None, nodes, exhausted).  With ``exhaust`` the walk
-    continues past the first witness until the tree (or budget) is done.
+    Extends prefixes by unused points in ascending order.  Two kinds of
+    proper segment are tested at each new position, and any one that
+    partitions into blocks prunes the branch: the segments ending at the
+    new entry whose length is a multiple of 3, and the suffix after it.
+    The suffix is already fixed as a point set (the unplaced points), so
+    when its length is a nonzero multiple of 3 and it partitions, every
+    completion is inadmissible.  Only subtrees without an admissible leaf
+    are cut, so the walk order and the first witness are those of the
+    search without the suffix test.  Returns (witness or None, nodes,
+    exhausted).  With ``exhaust`` the walk continues past the first
+    witness until the tree (or budget) is done.
     """
     n = sys.n
+    full = (1 << n) - 1
     entries = [0] * n
     pm = [0] * (n + 1)
     cand = [0] * (n + 1)
@@ -112,7 +119,8 @@ def decide_search(sys, budget=None, exhaust=False, prefix=()):
             if can_partition(sys, top ^ pm[pos + 1 - length]):
                 return False
             length += 3
-        return True
+        rest = n - 1 - pos
+        return not (rest and rest % 3 == 0 and can_partition(sys, full ^ top))
 
     for i, p in enumerate(prefix):
         if budget is not None and nodes >= budget:

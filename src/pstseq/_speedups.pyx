@@ -136,8 +136,24 @@ def inadmissible_scan(KernelSystem s, entries, bint stop_first=False):
     return result
 
 
+cdef bint _segments_ok(KernelSystem s, u64* pm, int pos, u64 full) nogil:
+    # Segments ending at pos, then the suffix after pos, which is already
+    # fixed as a point set; same tests and order as the pure twin.
+    cdef int n = s.n
+    cdef int length = 3
+    cdef int rest = n - 1 - pos
+    while length <= pos + 1 and length < n:
+        if _can_partition(s, pm[pos + 1] ^ pm[pos + 1 - length]):
+            return False
+        length += 3
+    if rest and rest % 3 == 0 and _can_partition(s, full ^ pm[pos + 1]):
+        return False
+    return True
+
+
 def decide_search(KernelSystem s, budget=None, bint exhaust=False, prefix=()):
     cdef int n = s.n
+    cdef u64 full = ~(<u64> 0) if n == MAX_POINTS else ((<u64> 1) << n) - 1
     cdef long long limit = -1 if budget is None else <long long> budget
     cdef long long nodes = 0
     cdef int entries[MAX_POINTS]
@@ -145,8 +161,7 @@ def decide_search(KernelSystem s, budget=None, bint exhaust=False, prefix=()):
     cdef u64 pm[MAX_POINTS + 1]
     cdef u64 used = 0
     cdef int base = len(prefix)
-    cdef int pos, p, q, length
-    cdef bint ok
+    cdef int pos, p, q
     witness = None
 
     pm[0] = 0
@@ -156,14 +171,7 @@ def decide_search(KernelSystem s, budget=None, bint exhaust=False, prefix=()):
             return None, nodes, False
         nodes += 1
         pm[pos + 1] = pm[pos] | ((<u64> 1) << p)
-        ok = True
-        length = 3
-        while length <= pos + 1 and length < n:
-            if _can_partition(s, pm[pos + 1] ^ pm[pos + 1 - length]):
-                ok = False
-                break
-            length += 3
-        if not ok:
+        if not _segments_ok(s, pm, pos, full):
             return None, nodes, True
         entries[pos] = p
         used |= (<u64> 1) << p
@@ -191,14 +199,7 @@ def decide_search(KernelSystem s, budget=None, bint exhaust=False, prefix=()):
             return witness, nodes, False
         nodes += 1
         pm[pos + 1] = pm[pos] | ((<u64> 1) << p)
-        ok = True
-        length = 3
-        while length <= pos + 1 and length < n:
-            if _can_partition(s, pm[pos + 1] ^ pm[pos + 1 - length]):
-                ok = False
-                break
-            length += 3
-        if not ok:
+        if not _segments_ok(s, pm, pos, full):
             cand[pos] = p + 1
             continue
         entries[pos] = p

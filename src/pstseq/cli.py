@@ -12,6 +12,7 @@ Exit codes: 0 sequenceable/verified/ok, 1 not sequenceable,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -346,7 +347,9 @@ def cmd_hunt(args, report: _Report) -> int:
     return worst
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by ``main``."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--seed", type=int, default=0, help="seed for random generation")

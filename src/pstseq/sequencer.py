@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
@@ -120,10 +119,15 @@ def decide(
 ) -> Decision:
     """Exact sequenceability search over permutation prefixes.
 
-    Prefixes grow by unused points in canonical order; any proper
-    segment ending at the new entry that partitions into blocks prunes.
-    A full admissible prefix gives Sequenceable, an exhausted tree gives
-    NotSequenceable, a spent budget gives Unknown.  ``exhaust`` keeps
+    Prefixes grow by unused points in canonical order.  A new entry is
+    pruned when a proper segment ending at it partitions into blocks, or
+    when the points not yet placed (the suffix after it, fixed as a set)
+    do: the paper's "12-segments at both ends" argument for the cyclic
+    STS(13), applied at every node.  The suffix test only cuts subtrees
+    without an admissible leaf, so the first witness is the
+    lexicographically first admissible permutation.  A full admissible
+    prefix gives Sequenceable, an exhausted tree gives NotSequenceable,
+    a spent budget gives Unknown.  ``exhaust`` keeps
     walking after the first witness so the full tree gets counted.
 
     With ``parallel`` > 1 the top-level branches are split across
@@ -147,6 +151,9 @@ def _decision_from(system, witness, nodes, exhausted) -> Decision:
 
 
 def _decide_parallel(system, budget, parallel, exhaust) -> Decision:
+    # Imported here: it pulls in multiprocessing, which only --parallel needs.
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
     n = system.n
     share = None if budget is None else max(1, budget // n)
     tasks = [(n, system.block_masks, share, (p,), exhaust) for p in range(n)]

@@ -1,9 +1,14 @@
 """Command-line behavior: subcommands, exit codes, reports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pstseq
 from pstseq import cli, formats
 
 
@@ -82,10 +87,10 @@ class TestDecideConstruct:
         assert report["outcome"] == "sequenceable"
         assert report["exit_code"] == 0
 
-    def test_decide_sts13_budget_unknown(self, capsys, sts13_psts):
+    def test_decide_sts13_not_sequenceable(self, capsys, sts13_psts):
         code, out, _ = run(capsys, "decide", sts13_psts, "--budget", "50000")
-        assert code == 2
-        assert "unknown" in out
+        assert code == 1
+        assert out.strip() == "not-sequenceable (nodes 13)"
 
     def test_check_seq(self, capsys, nine_psts, tmp_path):
         good = tmp_path / "good.txt"
@@ -101,12 +106,23 @@ class TestDecideConstruct:
         assert report["details"]["segments"][0]["length"] == 3
 
     def test_construct_matches_exit_code_contract(self, capsys, sts13_psts):
-        # packing 4 at order 13 < threshold: falls back to search, which
-        # cannot finish under a small default here; force a budget by env
-        # is not exposed, so just decide with explicit small budget instead
-        code, out, _ = run(capsys, "decide", sts13_psts, "--budget", "10000", "--json")
+        # packing 4 at order 13 is below the interleaving threshold, so
+        # construct falls back to the search, which now finishes
+        code, out, _ = run(capsys, "construct", sts13_psts, "--json")
         report = json.loads(out)
-        assert report["exit_code"] == code == 2
+        assert report["exit_code"] == code == 1
+        assert report["outcome"] == "not-sequenceable"
+
+    def test_construct_sts19_not_sequenceable(self, capsys, tmp_path):
+        path = str(tmp_path / "sts19.psts")
+        code, _, _ = run(
+            capsys, "gen", "cyclic", "--n", "19", "--base", "0,1,4",
+            "--base", "0,2,9", "--base", "0,5,11", "--output", path,
+        )
+        assert code == 0
+        code, out, _ = run(capsys, "construct", path)
+        assert code == 1
+        assert "after 19 nodes" in out
 
 
 class TestPackingCommands:
@@ -168,3 +184,48 @@ class TestCertificateAndHunt:
         capsys.readouterr()
         assert cli.main([]) == 3
         capsys.readouterr()
+
+
+class TestRepeatedMain:
+    """The parser is built once per process; no call may leak into the next."""
+
+    def test_parser_is_reused(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_json_flag_does_not_carry_over(self, capsys, nine_psts):
+        code, out, _ = run(capsys, "decide", nine_psts, "--json")
+        report = json.loads(out)
+        assert code == 0 and report["outcome"] == "sequenceable"
+        code, out, _ = run(capsys, "decide", nine_psts)
+        assert code == 0
+        nodes = report["details"]["nodes_explored"]
+        assert out.splitlines()[0] == f"sequenceable (nodes {nodes})"
+
+    def test_appended_bases_do_not_accumulate(self, capsys):
+        argv = ("gen", "cyclic", "--n", "7", "--base", "0,1,3")
+        code1, out1, _ = run(capsys, *argv)
+        code2, out2, _ = run(capsys, *argv)
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert len(formats.parse_system_text(out2).blocks) == 7
+
+    def test_usage_error_then_valid_call(self, capsys, nine_psts):
+        code, _, err = run(capsys, "decide", nine_psts, "--budget", "many")
+        assert code == 3 and "usage" in err
+        code, out, _ = run(capsys, "validate", nine_psts)
+        assert code == 0 and "order 9" in out
+
+
+def test_import_cli_skips_concurrent_futures():
+    # Only --parallel needs a process pool; importing the CLI must not load one.
+    src = str(Path(pstseq.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, pstseq.cli\n"
+        "assert 'concurrent.futures' not in sys.modules, 'loaded on import'\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr

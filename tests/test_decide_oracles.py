@@ -1,0 +1,117 @@
+"""Soundness of the decide search, checked by code it shares nothing with.
+
+The search prunes a prefix when a segment ending at the new entry, or
+the suffix of points still unplaced, splits into disjoint blocks.  The
+oracles here work on plain point sets and permutations: brute force over
+all permutations for small orders, and an exact-cover certificate for
+the negative verdicts on Steiner triple systems.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from pstseq import (
+    CyclicBase,
+    Outcome,
+    cyclic_system,
+    decide,
+    johnson_schonheim,
+    random_system,
+    validate_system,
+)
+
+
+def _disjoint_unions(blocks):
+    """Every union of a nonempty family of pairwise disjoint blocks."""
+    unions = {frozenset()}
+    for blk in map(frozenset, blocks):
+        unions |= {u | blk for u in unions if not u & blk}
+    unions.discard(frozenset())
+    return unions
+
+
+def _admissible(perm, unions):
+    n = len(perm)
+    return not any(
+        frozenset(perm[start : start + length]) in unions
+        for length in range(3, n, 3)
+        for start in range(n - length + 1)
+    )
+
+
+def _lex_first_admissible(n, blocks):
+    unions = _disjoint_unions(blocks)
+    for perm in itertools.permutations(range(n)):
+        if _admissible(perm, unions):
+            return perm
+    return None
+
+
+def _exact_cover(target, blocks):
+    """Disjoint blocks whose union is exactly ``target``, or None."""
+    if not target:
+        return []
+    p = min(target)
+    for blk in blocks:
+        if p in blk and blk <= target:
+            rest = _exact_cover(target - blk, blocks)
+            if rest is not None:
+                return [blk, *rest]
+    return None
+
+
+def _small_corpus():
+    for n in range(3, 9):
+        for nblocks in range(johnson_schonheim(n) + 1):
+            for seed in range(12):
+                yield random_system(n, nblocks, seed)
+
+
+def test_witness_is_lexicographically_first_admissible():
+    count = 0
+    for system in _small_corpus():
+        blocks = [b.points for b in system.blocks]
+        expected = _lex_first_admissible(system.n, blocks)
+        decision = decide(system, budget=None)
+        if expected is None:
+            assert decision.outcome is Outcome.NOT_SEQUENCEABLE, blocks
+        else:
+            assert decision.outcome is Outcome.SEQUENCEABLE, blocks
+            assert decision.witness.entries == expected, blocks
+        count += 1
+    assert count > 300
+
+
+_CYCLIC = {
+    13: ((0, 1, 4), (0, 2, 7)),
+    19: ((0, 1, 4), (0, 2, 9), (0, 5, 11)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_CYCLIC))
+def test_cyclic_sts_relabelings_are_certified_negatives(n):
+    base = cyclic_system(CyclicBase(n, _CYCLIC[n]))
+    rng = random.Random(n)
+    for _ in range(5):
+        label = list(range(n))
+        rng.shuffle(label)
+        blocks = [tuple(label[p] for p in b.points) for b in base.blocks]
+        system = validate_system(n, blocks)
+
+        decision = decide(system, budget=10_000)
+        assert decision.outcome is Outcome.NOT_SEQUENCEABLE
+        assert decision.exhausted
+        assert decision.nodes_explored == n
+
+        # Deleting any vertex leaves points that split into disjoint
+        # blocks, so whatever point comes first, the rest is a
+        # partitionable proper segment: no admissible order exists.
+        sets = [frozenset(b) for b in blocks]
+        everything = frozenset(range(n))
+        for vertex in range(n):
+            cover = _exact_cover(everything - {vertex}, sets)
+            assert cover is not None, vertex
+            assert sum(len(b) for b in cover) == n - 1
+            assert frozenset().union(*cover) == everything - {vertex}

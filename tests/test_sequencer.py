@@ -14,6 +14,7 @@ from pstseq import (
     friendship_chain,
     interleave_large,
     is_admissible,
+    johnson_schonheim,
     max_disjoint_blocks,
     pi_template_instantiate,
     random_system,
@@ -47,11 +48,24 @@ class TestDecide:
         assert decision.nodes_explored < 10**6
         assert is_admissible(decision.witness, FANO)
 
-    def test_sts13_budget_gives_unknown(self):
+    def test_sts13_not_sequenceable_in_13_nodes(self):
+        # Every first entry leaves 12 points that split into 4 blocks, so
+        # the suffix look-ahead prunes all 13 children of the root.
         decision = decide(STS13, budget=100_000)
+        assert decision.outcome is Outcome.NOT_SEQUENCEABLE
+        assert decision.exhausted
+        assert decision.nodes_explored == 13
+
+    def test_budget_exhaustion_gives_unknown(self):
+        # This order-19 system needs 397 nodes to reach its witness.
+        system = random_system(19, johnson_schonheim(19), 0)
+        decision = decide(system, budget=200)
         assert decision.outcome is Outcome.UNKNOWN
         assert not decision.exhausted
-        assert decision.nodes_explored == 100_000
+        assert decision.nodes_explored == 200
+        decision = decide(system, budget=1000)
+        assert decision.outcome is Outcome.SEQUENCEABLE
+        assert decision.nodes_explored > 200
 
     def test_three_disjoint_blocks_order9(self):
         system = validate_system(9, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
@@ -66,6 +80,13 @@ class TestDecide:
             assert seq_dec.outcome == par_dec.outcome
             if par_dec.witness is not None:
                 assert is_admissible(par_dec.witness, system)
+
+    def test_parallel_prunes_in_prefix_replay(self):
+        # Each worker replays a one-point prefix; the look-ahead must
+        # prune there too, or the workers would search to their budget.
+        decision = decide(STS13, budget=100_000, parallel=2)
+        assert decision.outcome is Outcome.NOT_SEQUENCEABLE
+        assert decision.nodes_explored == 13
 
 
 class TestConstructSmall:
