@@ -1,13 +1,12 @@
 """Pure-Python search kernels.
 
-Reference implementations of the hot inner loops: exact partition of a
-point set into vertex-disjoint blocks, the segment scan behind
-admissibility checking, the depth-first sequence search, and the
-disjoint-block branch-and-bound.  The compiled twins in ``_speedups``
-must reproduce these results bit for bit; keep the two in lockstep.
+The hot inner loops: exact partition of a point set into
+vertex-disjoint blocks, the segment scan behind admissibility checking,
+the depth-first sequence search, and the disjoint-block
+branch-and-bound.
 
 Point sets travel as integer bitmasks, blocks as a tuple of masks in
-canonical order.  Python integers are unbounded, so this backend has no
+canonical order.  Python integers are unbounded, so there is no
 limit on the order of the system.
 """
 

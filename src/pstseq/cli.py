@@ -134,9 +134,8 @@ def cmd_check_seq(args, report: _Report) -> int:
 def cmd_decide(args, report: _Report) -> int:
     system = formats.load_system(args.file)
     report.data["input"] = _input_info(args.file, system)
-    parallel = 1 if args.deterministic else args.parallel
-    report.data["params"] = {"budget": args.budget, "parallel": parallel}
-    decision = sequencer.decide(system, budget=args.budget, parallel=parallel)
+    report.data["params"] = {"budget": args.budget, "parallel": args.parallel}
+    decision = sequencer.decide(system, budget=args.budget, parallel=args.parallel)
     report.data["outcome"] = decision.outcome.value
     report.data["details"] = {
         "nodes_explored": decision.nodes_explored,
@@ -153,8 +152,9 @@ def cmd_decide(args, report: _Report) -> int:
 def cmd_construct(args, report: _Report) -> int:
     system = formats.load_system(args.file)
     report.data["input"] = _input_info(args.file, system)
+    report.data["params"] = {"budget": args.budget}
     try:
-        seq = sequencer.construct(system)
+        seq = sequencer.construct(system, budget=args.budget)
     except NotSequenceableSystem as exc:
         report.data["outcome"] = Outcome.NOT_SEQUENCEABLE.value
         report.data["details"]["reason"] = str(exc)
@@ -324,11 +324,10 @@ def _parse_seed_range(text: str) -> range:
 def cmd_hunt(args, report: _Report) -> int:
     seeds = _parse_seed_range(args.seeds)
     blocks = args.blocks if args.blocks is not None else generators.johnson_schonheim(args.order)
-    parallel = 1 if args.deterministic else args.parallel
     worst = EXIT_OK
     for seed in seeds:
         system = generators.random_system(args.order, blocks, seed)
-        decision = sequencer.decide(system, budget=args.budget, parallel=parallel)
+        decision = sequencer.decide(system, budget=args.budget, parallel=args.parallel)
         nu = packing.max_disjoint_blocks(system).nu
         record = {
             "seed": seed,
@@ -352,14 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and reused by ``main``."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--seed", type=int, default=0, help="seed for random generation")
-    common.add_argument(
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
         "--budget", type=int, default=sequencer.DEFAULT_BUDGET, help="search node budget"
     )
-    common.add_argument("--parallel", type=int, default=1, help="worker processes for decide")
-    common.add_argument(
-        "--deterministic", action="store_true", help="force sequential search"
-    )
+    parallel = argparse.ArgumentParser(add_help=False)
+    parallel.add_argument("--parallel", type=int, default=1, help="worker processes for decide")
+    budgeted = [common, budget]
+    searching = [common, budget, parallel]
 
     parser = _Parser(prog="pstseq", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pstseq {__version__}")
@@ -374,11 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sequence")
     p.set_defaults(func=cmd_check_seq)
 
-    p = sub.add_parser("decide", parents=[common], help="decide sequenceability exactly")
+    p = sub.add_parser("decide", parents=searching, help="decide sequenceability exactly")
     p.add_argument("file")
     p.set_defaults(func=cmd_decide)
 
-    p = sub.add_parser("construct", parents=[common], help="construct an admissible sequence")
+    p = sub.add_parser("construct", parents=budgeted, help="construct an admissible sequence")
     p.add_argument("file")
     p.set_defaults(func=cmd_construct)
 
@@ -400,10 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
     g = gsub.add_parser("random", parents=[common])
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--blocks", type=int, required=True)
+    g.add_argument("--seed", type=int, default=0, help="seed for random generation")
     g.add_argument("--output", "-o")
     g.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("pack", parents=[common], help="maximum disjoint blocks")
+    p = sub.add_parser("pack", parents=budgeted, help="maximum disjoint blocks")
     p.add_argument("file")
     p.set_defaults(func=cmd_pack)
 
@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-sts13", parents=[common], help="order-13 certificate")
     p.set_defaults(func=cmd_verify_sts13)
 
-    p = sub.add_parser("hunt", parents=[common], help="decide over a seeded corpus (NDJSON)")
+    p = sub.add_parser("hunt", parents=searching, help="decide over a seeded corpus (NDJSON)")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--seeds", required=True, help="inclusive range A..B")
     p.add_argument("--blocks", type=int, default=None)

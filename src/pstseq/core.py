@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Optional
 
 from . import kernels
 from .errors import (
+    InputError,
     PairInTwoBlocks,
     PointOutOfRange,
     RepeatedPointInBlock,
@@ -303,6 +304,12 @@ def _checked_permutation(seq, system: TripleSystem) -> tuple[int, ...]:
             f"{system.n} points"
         )
     return entries
+
+
+def _checked_budget(budget: Optional[int]) -> Optional[int]:
+    if budget is not None and budget < 0:
+        raise InputError(f"node budget must be non-negative, got {budget}")
+    return budget
 
 
 def _mask_of(points: Iterable[int], system: TripleSystem) -> int:

@@ -1,58 +1,19 @@
-"""Kernel backend selection.
+"""The seam between the search code and its kernels.
 
-The compiled extension (``pstseq._speedups``) is preferred when it is
-importable and the system fits in 64-bit masks; otherwise the pure
-Python twins take over.  ``PSTSEQ_KERNELS=py`` forces the pure backend,
-``PSTSEQ_KERNELS=c`` demands the compiled one (import error otherwise).
-
-A handle is the pair (backend module, backend-specific system object);
-callers dispatch through the module so mixed backends can coexist in
-one process (the benchmark relies on this).
+A handle is the pair (kernel module, system object built by its
+``prepare``); callers dispatch through the module.  The kernels live in
+``pstseq._pykernels``.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import _pykernels
-
-try:
-    from . import _speedups as _compiled
-except ImportError:
-    _compiled = None
-
-_mode = os.environ.get("PSTSEQ_KERNELS", "auto").strip().lower()
-if _mode in ("", "auto"):
-    pass
-elif _mode in ("py", "python", "pure"):
-    _compiled = None
-elif _mode in ("c", "compiled"):
-    if _compiled is None:
-        raise ImportError(
-            "PSTSEQ_KERNELS=c but the compiled extension is not importable"
-        )
-else:
-    raise RuntimeError(f"unrecognized PSTSEQ_KERNELS value: {_mode!r}")
-
-#: Maximum order the compiled masks can represent.
-COMPILED_MAX_ORDER = 64
 
 
 def backend_name() -> str:
-    return "compiled" if _compiled is not None else "pure"
-
-
-def compiled_module():
-    """The compiled kernel module, or None when unavailable."""
-    return _compiled
-
-
-def pure_module():
-    return _pykernels
+    return "pure"
 
 
 def prepare(n: int, masks):
-    """Return (module, handle) for the best backend for this order."""
-    if _compiled is not None and n <= COMPILED_MAX_ORDER:
-        return _compiled, _compiled.prepare(n, masks)
+    """Return (module, handle) for a system of order ``n``."""
     return _pykernels, _pykernels.prepare(n, masks)

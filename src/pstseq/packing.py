@@ -5,7 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import Block, PartitionWitness, TripleSystem, _mask_of, partition_into_blocks
+from .core import (
+    Block,
+    PartitionWitness,
+    TripleSystem,
+    _checked_budget,
+    _mask_of,
+    partition_into_blocks,
+)
 from .errors import OrderTooSmall, PartContainsWholeBlock, WrongCardinality
 
 
@@ -53,9 +60,10 @@ def max_disjoint_blocks(system: TripleSystem, budget: Optional[int] = None) -> P
     Branches on the first block compatible with the partial packing
     (include, then exclude) and bounds by remaining-points / 3.  With a
     budget the search may stop early and the result is flagged inexact.
+    A negative budget raises ``InputError``.
     """
     mod, handle = system._kernel
-    nu, ids, nodes, complete = mod.max_packing(handle, budget)
+    nu, ids, nodes, complete = mod.max_packing(handle, _checked_budget(budget))
     return PackingResult(
         nu=nu,
         witness=tuple(system.blocks[i] for i in ids),

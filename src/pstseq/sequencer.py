@@ -21,6 +21,7 @@ from .core import (
     Block,
     Sequence,
     TripleSystem,
+    _checked_budget,
     is_admissible,
     partition_into_blocks,
 )
@@ -129,11 +130,14 @@ def decide(
     prefix gives Sequenceable, an exhausted tree gives NotSequenceable,
     a spent budget gives Unknown.  ``exhaust`` keeps
     walking after the first witness so the full tree gets counted.
+    A negative budget raises ``InputError``.
 
     With ``parallel`` > 1 the top-level branches are split across
-    processes (budget shared evenly); the first witness cancels the
-    rest, so the witness may differ from the sequential one.
+    processes, with shares of the budget that sum to it; the first
+    witness cancels the rest, so the witness may differ from the
+    sequential one.
     """
+    _checked_budget(budget)
     if parallel > 1 and system.n > 1:
         return _decide_parallel(system, budget, parallel, exhaust)
     mod, handle = system._kernel
@@ -155,8 +159,14 @@ def _decide_parallel(system, budget, parallel, exhaust) -> Decision:
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
     n = system.n
-    share = None if budget is None else max(1, budget // n)
-    tasks = [(n, system.block_masks, share, (p,), exhaust) for p in range(n)]
+    if budget is None:
+        shares = [None] * n
+    else:
+        # The shares sum to the budget; a branch with a share of 0 stops
+        # at once, unsettled, so the result is Unknown.
+        q, r = divmod(budget, n)
+        shares = [q + (p < r) for p in range(n)]
+    tasks = [(n, system.block_masks, shares[p], (p,), exhaust) for p in range(n)]
     total_nodes = 0
     witness = None
     exhausted_count = 0
@@ -587,15 +597,17 @@ def _repair_three_segments(system, entries, u_set):
     return None
 
 
-def construct(system: TripleSystem) -> Sequence:
+def construct(system: TripleSystem, budget: Optional[int] = DEFAULT_BUDGET) -> Sequence:
     """Build an admissible sequence, choosing the proof-backed route.
 
     Dispatches on the exact disjoint-block number: the labeling recipes
     for at most two disjoint blocks, the per-order procedures and the
     positional-template search for three, the interleaving construction
-    for large sparse systems, and exhaustive search as a last resort.
-    Every returned sequence has passed the admissibility checker.
+    for large sparse systems, and exhaustive search as a last resort,
+    within ``budget`` nodes.  Every returned sequence has passed the
+    admissibility checker.
     """
+    _checked_budget(budget)
     result = max_disjoint_blocks(system)
     nu = result.nu
     if nu <= 1:
@@ -616,7 +628,7 @@ def construct(system: TripleSystem) -> Sequence:
         return _construct_extend(system, result.witness)
     if system.n >= 15 * nu - 5:
         return interleave_large(system, nu)
-    decision = decide(system)
+    decision = decide(system, budget=budget)
     if decision.outcome is Outcome.SEQUENCEABLE:
         return decision.witness
     if decision.outcome is Outcome.NOT_SEQUENCEABLE:

@@ -124,6 +124,24 @@ class TestDecideConstruct:
         assert code == 1
         assert "after 19 nodes" in out
 
+    def test_construct_budget(self, capsys, tmp_path):
+        path = str(tmp_path / "r19.psts")
+        code, _, _ = run(
+            capsys, "gen", "random", "--n", "19", "--blocks", "57", "--seed", "1",
+            "--output", path,
+        )
+        assert code == 0
+        code, out, _ = run(capsys, "construct", path, "--budget", "10", "--json")
+        report = json.loads(out)
+        assert report["exit_code"] == code == 2
+        assert report["outcome"] == "unknown"
+        assert report["params"] == {"budget": 10}
+
+    @pytest.mark.parametrize("command", ["decide", "construct", "pack"])
+    def test_negative_budget_is_input_error(self, capsys, nine_psts, command):
+        code, _, err = run(capsys, command, nine_psts, "--budget", "-1")
+        assert code == 3 and "non-negative" in err
+
 
 class TestPackingCommands:
     def test_pack(self, capsys, sts13_psts):
@@ -184,6 +202,32 @@ class TestCertificateAndHunt:
         capsys.readouterr()
         assert cli.main([]) == 3
         capsys.readouterr()
+
+
+class TestOptionScope:
+    """Each option is accepted only by the subcommands that read it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "{f}", "--budget", "5"],
+        ["validate", "{f}", "--parallel", "3"],
+        ["validate", "{f}", "--seed", "9"],
+        ["pack", "{f}", "--parallel", "2"],
+        ["construct", "{f}", "--seed", "1"],
+        ["gen", "cyclic", "--n", "7", "--base", "0,1,3", "--seed", "1"],
+    ])
+    def test_unread_option_is_usage_error(self, capsys, nine_psts, argv):
+        code, _, err = run(capsys, *(a.format(f=nine_psts) for a in argv))
+        assert code == 3 and "usage" in err
+
+    def test_benchmark_argv_forms(self, capsys, nine_psts):
+        code, out, _ = run(capsys, "decide", nine_psts, "--json", "--budget", "1000")
+        assert code == 0 and json.loads(out)["params"] == {"budget": 1000, "parallel": 1}
+        code, out, _ = run(
+            capsys, "hunt", "--order", "9", "--seeds", "0..1", "--budget", "1000",
+        )
+        assert code == 0 and len(out.splitlines()) == 2
+        code, out, _ = run(capsys, "verify-sts13", "--json")
+        assert code == 0 and json.loads(out)["outcome"] == "verified"
 
 
 class TestRepeatedMain:

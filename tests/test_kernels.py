@@ -1,42 +1,16 @@
-"""Backend selection and compiled/pure twin agreement."""
+"""The kernel seam and the pure-Python kernels."""
 
 import itertools
-import random
 
-import pytest
-
-from pstseq import CyclicBase, cyclic_system, kernels, random_system
-from pstseq.generators import johnson_schonheim
+import pstseq
+from pstseq import CyclicBase, _pykernels as pure, cyclic_system, kernels, random_system
 from conftest import oracle_has_partition_subsets
 
-pure = kernels.pure_module()
-compiled = kernels.compiled_module()
 
-needs_compiled = pytest.mark.skipif(
-    compiled is None, reason="compiled extension not built"
-)
-
-
-def _handles(system):
-    hp = pure.prepare(system.n, system.block_masks)
-    hc = compiled.prepare(system.n, system.block_masks)
-    return hp, hc
-
-
-def test_prepare_prefers_compiled_when_available():
-    mod, _ = kernels.prepare(6, (0b111, 0b111000))
-    if compiled is not None:
-        assert mod is compiled
-    else:
-        assert mod is pure
-
-
-@needs_compiled
-def test_compiled_rejects_orders_above_64():
-    with pytest.raises(ValueError):
-        compiled.prepare(65, ())
-    mod, _ = kernels.prepare(65, ())
-    assert mod is pure
+def test_prepare_returns_pure_kernels():
+    for n, masks in ((0, ()), (6, (0b111, 0b111000)), (65, ())):
+        assert kernels.prepare(n, masks)[0] is pure
+    assert pstseq.backend_name() == "pure"
 
 
 def test_pure_supports_arbitrary_order():
@@ -67,52 +41,3 @@ def test_pure_partition_matches_subset_oracle():
                 mask = sum(1 << p for p in combo)
                 got = pure.find_partition(handle, mask) is not None
                 assert got == oracle_has_partition_subsets(system, combo)
-
-
-@needs_compiled
-class TestTwinAgreement:
-    def test_partitions(self):
-        rng = random.Random(7)
-        for seed in range(20):
-            n = 6 + seed % 9
-            system = random_system(n, min(8, johnson_schonheim(n)), seed)
-            hp, hc = _handles(system)
-            for _ in range(60):
-                pts = rng.sample(range(n), rng.randrange(n + 1))
-                mask = sum(1 << p for p in pts)
-                assert pure.find_partition(hp, mask) == compiled.find_partition(hc, mask)
-
-    def test_scans(self):
-        rng = random.Random(11)
-        for seed in range(20):
-            n = 6 + seed % 9
-            system = random_system(n, min(8, johnson_schonheim(n)), seed)
-            hp, hc = _handles(system)
-            for _ in range(15):
-                perm = list(range(n))
-                rng.shuffle(perm)
-                assert pure.inadmissible_scan(hp, perm, False) == compiled.inadmissible_scan(hc, perm, False)
-
-    def test_decide(self):
-        for seed in range(15):
-            n = 6 + seed % 7
-            system = random_system(n, min(7, johnson_schonheim(n)), seed)
-            hp, hc = _handles(system)
-            assert pure.decide_search(hp, 30_000, False, ()) == compiled.decide_search(
-                hc, 30_000, False, ()
-            )
-            if n <= 8:
-                assert pure.decide_search(hp, None, True, ()) == compiled.decide_search(
-                    hc, None, True, ()
-                )
-            assert pure.decide_search(hp, 5_000, False, (0,)) == compiled.decide_search(
-                hc, 5_000, False, (0,)
-            )
-
-    def test_packing(self):
-        for seed in range(20):
-            n = 9 + seed % 6
-            system = random_system(n, min(9, johnson_schonheim(n)), seed)
-            hp, hc = _handles(system)
-            assert pure.max_packing(hp, None) == compiled.max_packing(hc, None)
-            assert pure.max_packing(hp, 5) == compiled.max_packing(hc, 5)

@@ -17,7 +17,7 @@ from pstseq import (
     random_system,
     validate_system,
 )
-from pstseq.errors import OrderTooSmall, PartContainsWholeBlock, WrongCardinality
+from pstseq.errors import InputError, OrderTooSmall, PartContainsWholeBlock, WrongCardinality
 from conftest import oracle_max_packing, oracle_partitions
 
 STS13 = cyclic_system(CyclicBase(13, ((0, 1, 4), (0, 2, 7))))
@@ -59,6 +59,10 @@ class TestMaxDisjointBlocks:
         result = max_disjoint_blocks(STS13, budget=3)
         assert not result.exact
         assert result.nu <= 4
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(InputError):
+            max_disjoint_blocks(random_system(9, 6, 3), budget=-1)
 
 
 class TestBadSets:

@@ -21,7 +21,12 @@ from pstseq import (
     validate_system,
     verify_sts13_certificate,
 )
-from pstseq.errors import NoAdmissibleLabeling, ResidualNotAdmissible
+from pstseq.errors import (
+    BudgetExhausted,
+    InputError,
+    NoAdmissibleLabeling,
+    ResidualNotAdmissible,
+)
 from conftest import padded
 
 STS13 = cyclic_system(CyclicBase(13, ((0, 1, 4), (0, 2, 7))))
@@ -67,6 +72,10 @@ class TestDecide:
         assert decision.outcome is Outcome.SEQUENCEABLE
         assert decision.nodes_explored > 200
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(InputError):
+            decide(random_system(9, 6, 3), budget=-1)
+
     def test_three_disjoint_blocks_order9(self):
         system = validate_system(9, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
         decision = decide(system)
@@ -88,11 +97,27 @@ class TestDecide:
         assert decision.outcome is Outcome.NOT_SEQUENCEABLE
         assert decision.nodes_explored == 13
 
+    def test_parallel_stays_within_budget(self):
+        # Nine branches share five nodes: four branches get none and stop
+        # unsettled, so the budget is spent and the verdict is Unknown.
+        decision = decide(random_system(9, 6, 3), budget=5, parallel=2)
+        assert decision.nodes_explored <= 5
+        assert decision.outcome is Outcome.UNKNOWN
+
 
 class TestConstructSmall:
     def test_no_blocks_identity(self):
         system = validate_system(4, [])
         assert construct(system).entries == (0, 1, 2, 3)
+
+    def test_search_route_honours_budget(self):
+        # Packing number too large for any recipe: construct must search,
+        # and within the budget it is given.
+        system = random_system(19, 57, 1)
+        with pytest.raises(BudgetExhausted, match=r"\(10 nodes\)"):
+            construct(system, budget=10)
+        with pytest.raises(InputError):
+            construct(system, budget=-1)
 
     def test_single_block_order4_pattern(self):
         system = validate_system(4, [[0, 1, 2]])
