@@ -86,6 +86,10 @@ def inadmissible_scan(sys, entries, stop_first=False):
     return out
 
 
+#: Entries ``decide_search``'s partition memo may hold before it is cleared.
+_MEMO_CAP = 1 << 16
+
+
 def decide_search(sys, budget=None, exhaust=False, prefix=()):
     """Depth-first search for an admissible permutation.
 
@@ -100,6 +104,13 @@ def decide_search(sys, budget=None, exhaust=False, prefix=()):
     search without the suffix test.  Returns (witness or None, nodes,
     exhausted).  With ``exhaust`` the walk continues past the first
     witness until the tree (or budget) is done.
+
+    Many segments repeat as point sets across nodes, so each call keeps
+    a memo of tested masks (mask -> partitions); a miss calls
+    ``can_partition``.  The memo belongs to the call and is cleared when
+    it holds ``_MEMO_CAP`` entries, which bounds its memory under any
+    budget.  A mask's answer never changes within one system, so the
+    memo alters neither the walk order, the node count nor the witness.
     """
     n = sys.n
     full = (1 << n) - 1
@@ -110,16 +121,26 @@ def decide_search(sys, budget=None, exhaust=False, prefix=()):
     nodes = 0
     witness = None
     base = len(prefix)
+    memo = {}
+    cap = _MEMO_CAP
+
+    def partitions(mask):
+        hit = memo.get(mask)
+        if hit is None:
+            if len(memo) >= cap:
+                memo.clear()
+            hit = memo[mask] = can_partition(sys, mask)
+        return hit
 
     def segments_ok(pos):
         top = pm[pos + 1]
         length = 3
         while length <= pos + 1 and length < n:
-            if can_partition(sys, top ^ pm[pos + 1 - length]):
+            if partitions(top ^ pm[pos + 1 - length]):
                 return False
             length += 3
         rest = n - 1 - pos
-        return not (rest and rest % 3 == 0 and can_partition(sys, full ^ top))
+        return not (rest and rest % 3 == 0 and partitions(full ^ top))
 
     for i, p in enumerate(prefix):
         if budget is not None and nodes >= budget:
@@ -178,30 +199,36 @@ def max_packing(sys, budget=None):
 
     Branch on the first block compatible with the partial packing
     (include, then exclude); bound by remaining-points / 3.  Returns
-    (size, witness ids, nodes, complete).
+    (size, witness ids, nodes, complete).  Branch order, bound and node
+    count are part of the contract: the tests pin all four values per
+    system against an independent reference copy.
     """
     n = sys.n
     masks = sys.masks
     nblocks = len(masks)
-    state = {"best": 0, "witness": (), "nodes": 0, "complete": True}
+    best = 0
+    witness = ()
+    nodes = 0
+    complete = True
     chosen = []
 
     def rec(i, used):
-        if not state["complete"]:
+        nonlocal best, witness, nodes, complete
+        if not complete:
             return
-        if budget is not None and state["nodes"] >= budget:
-            state["complete"] = False
+        if budget is not None and nodes >= budget:
+            complete = False
             return
-        state["nodes"] += 1
+        nodes += 1
         j = i
         while j < nblocks and masks[j] & used:
             j += 1
         if j == nblocks:
-            if len(chosen) > state["best"]:
-                state["best"] = len(chosen)
-                state["witness"] = tuple(chosen)
+            if len(chosen) > best:
+                best = len(chosen)
+                witness = tuple(chosen)
             return
-        if len(chosen) + (n - used.bit_count()) // 3 <= state["best"]:
+        if len(chosen) + (n - used.bit_count()) // 3 <= best:
             return
         chosen.append(j)
         rec(j + 1, used | masks[j])
@@ -209,4 +236,4 @@ def max_packing(sys, budget=None):
         rec(j + 1, used)
 
     rec(0, 0)
-    return state["best"], state["witness"], state["nodes"], state["complete"]
+    return best, witness, nodes, complete

@@ -43,9 +43,22 @@ _OUTCOME_EXIT = {
 
 
 class _Parser(argparse.ArgumentParser):
+    """Options must be spelled in full; usage errors exit with EXIT_INPUT."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras and self._subparsers is None:
+            # A leaf subcommand reports its own leftovers, so the message
+            # names it and the usage shown is its own.
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_INPUT)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def _digest(path) -> str:
@@ -314,6 +327,8 @@ def _parse_seed_range(text: str) -> range:
         lo, hi = text.split("..", 1)
         if not (lo.lstrip("-").isdigit() and hi.lstrip("-").isdigit()):
             raise InputError(f"seed range must look like A..B, got {text!r}")
+        if int(hi) < int(lo):
+            raise InputError(f"seed range {text!r} is empty")
         return range(int(lo), int(hi) + 1)
     if not text.lstrip("-").isdigit():
         raise InputError(f"seed range must look like A..B, got {text!r}")

@@ -197,6 +197,11 @@ class TestCertificateAndHunt:
         assert all(r["outcome"] == "sequenceable" for r in lines)
         assert code == 0
 
+    def test_hunt_rejects_empty_seed_range(self, capsys):
+        code, out, err = run(capsys, "hunt", "--order", "9", "--seeds", "5..3")
+        assert code == 3 and out == ""
+        assert "'5..3' is empty" in err
+
     def test_usage_error_exit_code(self, capsys):
         assert cli.main(["no-such-command"]) == 3
         capsys.readouterr()
@@ -218,6 +223,28 @@ class TestOptionScope:
     def test_unread_option_is_usage_error(self, capsys, nine_psts, argv):
         code, _, err = run(capsys, *(a.format(f=nine_psts) for a in argv))
         assert code == 3 and "usage" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["validate", "{f}", "--budget", "5"],
+         "pstseq validate: error: unrecognized arguments: --budget 5"),
+        (["decide", "{f}", "--budget", "many"],
+         "pstseq decide: error: argument --budget: invalid int value: 'many'"),
+    ])
+    def test_usage_error_says_what_was_wrong(self, capsys, nine_psts, argv, message):
+        code, out, err = run(capsys, *(a.format(f=nine_psts) for a in argv))
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert lines[0].startswith(f"usage: pstseq {argv[0]} ")
+        assert lines[-1] == message
+
+    @pytest.mark.parametrize("argv", [
+        ["hunt", "--order", "9", "--seed", "0..1"],
+        ["decide", "{f}", "--bud", "5"],
+    ])
+    def test_abbreviated_option_is_usage_error(self, capsys, nine_psts, argv):
+        code, out, err = run(capsys, *(a.format(f=nine_psts) for a in argv))
+        assert code == 3 and out == ""
+        assert f"pstseq {argv[0]}: error:" in err
 
     def test_benchmark_argv_forms(self, capsys, nine_psts):
         code, out, _ = run(capsys, "decide", nine_psts, "--json", "--budget", "1000")

@@ -15,6 +15,7 @@ import pytest
 from pstseq import (
     CyclicBase,
     Outcome,
+    _pykernels,
     cyclic_system,
     decide,
     johnson_schonheim,
@@ -60,6 +61,53 @@ def _exact_cover(target, blocks):
             if rest is not None:
                 return [blk, *rest]
     return None
+
+
+def _reference_search(n, blocks, budget):
+    """(witness, nodes, exhausted) of a plain recursive walk, no memo.
+
+    Candidates are tried in ascending order and each one counts a node
+    before the budget is checked again; a candidate is cut when a
+    segment ending at it (length a multiple of 3, below n) or the set of
+    points still unplaced (size a nonzero multiple of 3) splits into
+    disjoint blocks.
+    """
+    sets = [frozenset(b) for b in blocks]
+    perm = []
+    nodes = 0
+
+    class Spent(Exception):
+        pass
+
+    def cut():
+        pos = len(perm)
+        for length in range(3, min(pos, n - 1) + 1, 3):
+            if _exact_cover(frozenset(perm[pos - length :]), sets) is not None:
+                return True
+        rest = frozenset(range(n)) - frozenset(perm)
+        return bool(rest) and len(rest) % 3 == 0 and _exact_cover(rest, sets) is not None
+
+    def walk():
+        nonlocal nodes
+        if len(perm) == n:
+            return True
+        for p in range(n):
+            if p in perm:
+                continue
+            if budget is not None and nodes >= budget:
+                raise Spent
+            nodes += 1
+            perm.append(p)
+            if not cut() and walk():
+                return True
+            perm.pop()
+        return False
+
+    try:
+        found = walk()
+    except Spent:
+        return None, nodes, False
+    return (list(perm), nodes, False) if found else (None, nodes, True)
 
 
 def _small_corpus():
@@ -115,3 +163,30 @@ def test_cyclic_sts_relabelings_are_certified_negatives(n):
             assert cover is not None, vertex
             assert sum(len(b) for b in cover) == n - 1
             assert frozenset().union(*cover) == everything - {vertex}
+
+
+def test_memo_cleared_mid_search_changes_nothing(monkeypatch):
+    cap = 2
+    monkeypatch.setattr(_pykernels, "_MEMO_CAP", cap)
+    tested = []
+    partition = _pykernels.can_partition
+
+    def recording(sys, mask):
+        tested.append(mask)
+        return partition(sys, mask)
+
+    monkeypatch.setattr(_pykernels, "can_partition", recording)
+    cases = [(system, None) for system in _small_corpus()]
+    cases += [(cyclic_system(CyclicBase(n, bases)), 10_000) for n, bases in _CYCLIC.items()]
+    cases.append((random_system(19, 57, 0), 200))
+    cleared = 0
+    for system, budget in cases:
+        blocks = [b.points for b in system.blocks]
+        handle = _pykernels.prepare(system.n, system.block_masks)
+        tested.clear()
+        got = _pykernels.decide_search(handle, budget, False, ())
+        assert got == _reference_search(system.n, blocks, budget), blocks
+        # at most ``cap`` masks are held, so this many distinct ones
+        # means the memo was emptied at least three times
+        cleared += len(set(tested)) > 3 * cap
+    assert cleared > 100, cleared

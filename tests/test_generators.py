@@ -1,6 +1,7 @@
 """Generator constructions and the block-count bound."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from pstseq import (
     johnson_schonheim,
     max_disjoint_blocks,
     random_system,
+    validate_system,
 )
 from pstseq.errors import DevelopmentCollision, SizeTooSmall
 
@@ -124,7 +126,36 @@ class TestJohnsonSchonheim:
             assert step >= 0
 
 
+def _pair_set_greedy(n, target, seed):
+    """Reference greedy: shuffled triples, used pairs kept in a set."""
+    rng = random.Random(seed)
+    triples = list(itertools.combinations(range(n), 3))
+    rng.shuffle(triples)
+    used = set()
+    chosen = []
+    for t in triples:
+        if len(chosen) >= target:
+            break
+        pairs = set(itertools.combinations(t, 2))
+        if used & pairs:
+            continue
+        used |= pairs
+        chosen.append(t)
+    return sorted(chosen)
+
+
 class TestRandomSystem:
+    def test_matches_pair_set_reference(self):
+        saturated = 0
+        for n in range(26):
+            bound = johnson_schonheim(n)
+            for target in sorted({bound, bound // 2}):
+                for seed in range(50):
+                    expected = _pair_set_greedy(n, target, seed)
+                    assert random_system(n, target, seed) == validate_system(n, expected)
+                    saturated += len(expected) < target
+        assert saturated > 500
+
     def test_empty_target(self):
         system = random_system(9, 0, 5)
         assert system.blocks == ()

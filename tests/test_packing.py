@@ -13,6 +13,7 @@ from pstseq import (
     friendship,
     induced_matching,
     is_good_set,
+    johnson_schonheim,
     max_disjoint_blocks,
     random_system,
     validate_system,
@@ -21,6 +22,38 @@ from pstseq.errors import InputError, OrderTooSmall, PartContainsWholeBlock, Wro
 from conftest import oracle_max_packing, oracle_partitions
 
 STS13 = cyclic_system(CyclicBase(13, ((0, 1, 4), (0, 2, 7))))
+
+
+def _reference_packing(n, masks, budget):
+    """Reference branch-and-bound with its counters held in a dict:
+    first compatible block, include then exclude, bound by points / 3."""
+    state = {"best": 0, "witness": (), "nodes": 0, "complete": True}
+    chosen = []
+
+    def rec(i, used):
+        if not state["complete"]:
+            return
+        if budget is not None and state["nodes"] >= budget:
+            state["complete"] = False
+            return
+        state["nodes"] += 1
+        j = i
+        while j < len(masks) and masks[j] & used:
+            j += 1
+        if j == len(masks):
+            if len(chosen) > state["best"]:
+                state["best"] = len(chosen)
+                state["witness"] = tuple(chosen)
+            return
+        if len(chosen) + (n - bin(used).count("1")) // 3 <= state["best"]:
+            return
+        chosen.append(j)
+        rec(j + 1, used | masks[j])
+        chosen.pop()
+        rec(j + 1, used)
+
+    rec(0, 0)
+    return state["best"], state["witness"], state["nodes"], state["complete"]
 
 
 class TestMaxDisjointBlocks:
@@ -49,6 +82,26 @@ class TestMaxDisjointBlocks:
             if len(system.blocks) > 12:
                 continue
             assert max_disjoint_blocks(system).nu == oracle_max_packing(system)
+
+    def test_matches_reference_branch_and_bound(self):
+        systems = [STS13, friendship(4)]
+        for n in range(22):
+            bound = johnson_schonheim(n)
+            for target in {bound, bound // 2}:
+                systems += [random_system(n, target, seed) for seed in range(8)]
+        budgeted = 0
+        for system in systems:
+            for budget in (None, 1, 10, 100):
+                result = max_disjoint_blocks(system, budget=budget)
+                nu, ids, nodes, complete = _reference_packing(
+                    system.n, [b.mask for b in system.blocks], budget
+                )
+                assert result.nu == nu
+                assert result.witness == tuple(system.blocks[i] for i in ids)
+                assert result.nodes_explored == nodes
+                assert result.exact == complete
+                budgeted += not complete
+        assert budgeted > 50
 
     def test_nu_bounded_by_order_third(self):
         for seed in range(10):
