@@ -90,7 +90,7 @@ def inadmissible_scan(sys, entries, stop_first=False):
 _MEMO_CAP = 1 << 16
 
 
-def decide_search(sys, budget=None, exhaust=False, prefix=()):
+def decide_search(sys, budget=None, exhaust=False):
     """Depth-first search for an admissible permutation.
 
     Extends prefixes by unused points in ascending order.  Two kinds of
@@ -120,7 +120,6 @@ def decide_search(sys, budget=None, exhaust=False, prefix=()):
     used = 0
     nodes = 0
     witness = None
-    base = len(prefix)
     memo = {}
     cap = _MEMO_CAP
 
@@ -142,29 +141,16 @@ def decide_search(sys, budget=None, exhaust=False, prefix=()):
         rest = n - 1 - pos
         return not (rest and rest % 3 == 0 and partitions(full ^ top))
 
-    for i, p in enumerate(prefix):
-        if budget is not None and nodes >= budget:
-            return witness, nodes, False
-        nodes += 1
-        pm[i + 1] = pm[i] | (1 << p)
-        if not segments_ok(i):
-            return None, nodes, True
-        entries[i] = p
-        used |= 1 << p
-
     if n == 0:
         return [], nodes, True
-    if base == n:
-        return entries.copy(), nodes, True
 
-    pos = base
-    cand[pos] = 0
+    pos = 0
     while True:
         p = cand[pos]
         while p < n and (used >> p) & 1:
             p += 1
         if p >= n:
-            if pos == base:
+            if pos == 0:
                 return witness, nodes, True
             pos -= 1
             q = entries[pos]

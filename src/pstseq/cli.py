@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from . import __version__, formats, generators, packing, sequencer
-from .core import TripleSystem, inadmissible_segments
+from .core import TripleSystem, _is_int_token, inadmissible_segments
 from .errors import (
     BudgetExhausted,
     CertificateFailure,
@@ -100,10 +100,6 @@ class _Report:
         return exit_code
 
 
-def _witness_labels(system, seq):
-    return system.sequence_labels(seq)
-
-
 def _segment_detail(system, hits):
     out = []
     for seg, witness in hits:
@@ -147,8 +143,8 @@ def cmd_check_seq(args, report: _Report) -> int:
 def cmd_decide(args, report: _Report) -> int:
     system = formats.load_system(args.file)
     report.data["input"] = _input_info(args.file, system)
-    report.data["params"] = {"budget": args.budget, "parallel": args.parallel}
-    decision = sequencer.decide(system, budget=args.budget, parallel=args.parallel)
+    report.data["params"] = {"budget": args.budget}
+    decision = sequencer.decide(system, budget=args.budget)
     report.data["outcome"] = decision.outcome.value
     report.data["details"] = {
         "nodes_explored": decision.nodes_explored,
@@ -156,7 +152,7 @@ def cmd_decide(args, report: _Report) -> int:
     }
     lines = [f"{decision.outcome.value} (nodes {decision.nodes_explored})"]
     if decision.witness is not None:
-        labels = _witness_labels(system, decision.witness)
+        labels = system.sequence_labels(decision.witness)
         report.data["details"]["witness"] = labels
         lines.append(" ".join(labels))
     return report.emit(_OUTCOME_EXIT[decision.outcome], lines)
@@ -176,7 +172,7 @@ def cmd_construct(args, report: _Report) -> int:
         report.data["outcome"] = Outcome.UNKNOWN.value
         report.data["details"]["reason"] = str(exc)
         return report.emit(EXIT_UNKNOWN, [f"unknown: {exc}"])
-    labels = _witness_labels(system, seq)
+    labels = system.sequence_labels(seq)
     report.data["outcome"] = Outcome.SEQUENCEABLE.value
     report.data["details"]["witness"] = labels
     return report.emit(EXIT_OK, [" ".join(labels)])
@@ -323,17 +319,14 @@ def cmd_verify_sts13(args, report: _Report) -> int:
 
 
 def _parse_seed_range(text: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        if not (lo.lstrip("-").isdigit() and hi.lstrip("-").isdigit()):
-            raise InputError(f"seed range must look like A..B, got {text!r}")
-        if int(hi) < int(lo):
-            raise InputError(f"seed range {text!r} is empty")
-        return range(int(lo), int(hi) + 1)
-    if not text.lstrip("-").isdigit():
+    lo, sep, hi = text.partition("..")
+    if not sep:
+        hi = lo
+    if not (_is_int_token(lo) and _is_int_token(hi)):
         raise InputError(f"seed range must look like A..B, got {text!r}")
-    value = int(text)
-    return range(value, value + 1)
+    if int(hi) < int(lo):
+        raise InputError(f"seed range {text!r} is empty")
+    return range(int(lo), int(hi) + 1)
 
 
 def cmd_hunt(args, report: _Report) -> int:
@@ -342,7 +335,7 @@ def cmd_hunt(args, report: _Report) -> int:
     worst = EXIT_OK
     for seed in seeds:
         system = generators.random_system(args.order, blocks, seed)
-        decision = sequencer.decide(system, budget=args.budget, parallel=args.parallel)
+        decision = sequencer.decide(system, budget=args.budget)
         nu = packing.max_disjoint_blocks(system).nu
         record = {
             "seed": seed,
@@ -370,10 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     budget.add_argument(
         "--budget", type=int, default=sequencer.DEFAULT_BUDGET, help="search node budget"
     )
-    parallel = argparse.ArgumentParser(add_help=False)
-    parallel.add_argument("--parallel", type=int, default=1, help="worker processes for decide")
     budgeted = [common, budget]
-    searching = [common, budget, parallel]
 
     parser = _Parser(prog="pstseq", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pstseq {__version__}")
@@ -388,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sequence")
     p.set_defaults(func=cmd_check_seq)
 
-    p = sub.add_parser("decide", parents=searching, help="decide sequenceability exactly")
+    p = sub.add_parser("decide", parents=budgeted, help="decide sequenceability exactly")
     p.add_argument("file")
     p.set_defaults(func=cmd_decide)
 
@@ -438,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-sts13", parents=[common], help="order-13 certificate")
     p.set_defaults(func=cmd_verify_sts13)
 
-    p = sub.add_parser("hunt", parents=searching, help="decide over a seeded corpus (NDJSON)")
+    p = sub.add_parser("hunt", parents=budgeted, help="decide over a seeded corpus (NDJSON)")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--seeds", required=True, help="inclusive range A..B")
     p.add_argument("--blocks", type=int, default=None)

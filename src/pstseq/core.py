@@ -135,9 +135,6 @@ class TripleSystem:
 
     # -- label helpers -------------------------------------------------
 
-    def label_of(self, point: int) -> str:
-        return self.labels[point]
-
     def index_of(self, label) -> int:
         key = str(label)
         try:
@@ -174,9 +171,6 @@ class TripleSystem:
         blk = self.block_of_pair(pts[0], pts[1])
         return blk is not None and blk.points == pts
 
-    def blocks_inside(self, point_set: frozenset[int] | set[int]) -> list[Block]:
-        return [b for b in self.blocks if all(p in point_set for p in b)]
-
     def subsystem(self, points: Iterable[int]) -> tuple["TripleSystem", dict[int, int]]:
         """Induced system on ``points``; also returns old->new index map."""
         pts = sorted(set(points))
@@ -209,6 +203,11 @@ class TripleSystem:
         return f"TripleSystem(n={self.n}, blocks={len(self.blocks)})"
 
 
+def _is_int_token(tok: str) -> bool:
+    """True when ``int(tok)`` reads ``tok``: an optional ``-``, then decimal digits."""
+    return tok.isdecimal() or (tok[:1] == "-" and tok[1:].isdecimal())
+
+
 def _all_index_tokens(raw_blocks, n: int):
     """Interpret tokens as dense indices when every one is an int in [0, n)."""
     out = []
@@ -219,7 +218,7 @@ def _all_index_tokens(raw_blocks, n: int):
                 return None
             if isinstance(tok, int):
                 v = tok
-            elif isinstance(tok, str) and tok.lstrip("-").isdigit():
+            elif isinstance(tok, str) and _is_int_token(tok):
                 v = int(tok)
             else:
                 return None

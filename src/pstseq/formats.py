@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 from typing import Iterable
 
-from .core import Sequence, TripleSystem, validate_system
+from .core import Sequence, TripleSystem, _is_int_token, validate_system
 from .errors import InputError
 
 
@@ -34,7 +34,7 @@ def parse_system_text(text: str, source: str = "<string>") -> TripleSystem:
             continue
         if order is None:
             parts = line.split()
-            if len(parts) != 2 or parts[0].lower() != "order" or not parts[1].isdigit():
+            if len(parts) != 2 or parts[0].lower() != "order" or not _is_int_token(parts[1]):
                 raise InputError(f"{source}, line {lineno}: expected 'order N', got {raw!r}")
             order = int(parts[1])
             continue
@@ -56,9 +56,16 @@ def parse_system_json(text: str, source: str = "<string>") -> TripleSystem:
         raise InputError(f"{source}, line {exc.lineno}: invalid JSON ({exc.msg})") from None
     if not isinstance(data, dict) or "order" not in data or "blocks" not in data:
         raise InputError(f"{source}: JSON system needs 'order' and 'blocks' keys")
-    if not isinstance(data["order"], int):
+    order, blocks = data["order"], data["blocks"]
+    if not isinstance(order, int) or isinstance(order, bool):
         raise InputError(f"{source}: 'order' must be an integer")
-    return validate_system(data["order"], data["blocks"])
+    if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
+        raise InputError(f"{source}: 'blocks' must be a list of lists")
+    for block in blocks:
+        for tok in block:
+            if not isinstance(tok, (str, int)) or isinstance(tok, bool):
+                raise InputError(f"{source}: a label must be a string or an integer, got {tok!r}")
+    return validate_system(order, blocks)
 
 
 def load_system(path) -> TripleSystem:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
-from . import kernels
 from .core import (
     Block,
     Sequence,
@@ -42,8 +41,6 @@ DEFAULT_BUDGET = 10**8
 
 #: Number of seeded orderings the interleaving repair loop will try.
 REPAIR_ATTEMPTS = 100
-
-_PI_PATTERN = ("1", "2", "4", "3", "5", "7", "6", "8", "a", "9", "b", "c")
 
 
 class Outcome(str, Enum):
@@ -106,16 +103,9 @@ def _verified(system: TripleSystem, entries: Iterable[int], context: str) -> Seq
     return seq
 
 
-def _decide_worker(args):
-    n, masks, budget, prefix, exhaust = args
-    mod, handle = kernels.prepare(n, masks)
-    return mod.decide_search(handle, budget, exhaust, tuple(prefix))
-
-
 def decide(
     system: TripleSystem,
     budget: Optional[int] = DEFAULT_BUDGET,
-    parallel: int = 1,
     exhaust: bool = False,
 ) -> Decision:
     """Exact sequenceability search over permutation prefixes.
@@ -131,69 +121,16 @@ def decide(
     a spent budget gives Unknown.  ``exhaust`` keeps
     walking after the first witness so the full tree gets counted.
     A negative budget raises ``InputError``.
-
-    With ``parallel`` > 1 the top-level branches are split across
-    processes, with shares of the budget that sum to it; the first
-    witness cancels the rest, so the witness may differ from the
-    sequential one.
     """
     _checked_budget(budget)
-    if parallel > 1 and system.n > 1:
-        return _decide_parallel(system, budget, parallel, exhaust)
     mod, handle = system._kernel
-    witness, nodes, exhausted = mod.decide_search(handle, budget, exhaust, ())
-    return _decision_from(system, witness, nodes, exhausted)
-
-
-def _decision_from(system, witness, nodes, exhausted) -> Decision:
+    witness, nodes, exhausted = mod.decide_search(handle, budget, exhaust)
     if witness is not None:
         seq = _verified(system, witness, "decide")
         return Decision(Outcome.SEQUENCEABLE, seq, nodes, exhausted, nodes)
     if exhausted:
         return Decision(Outcome.NOT_SEQUENCEABLE, None, nodes, True, nodes)
     return Decision(Outcome.UNKNOWN, None, nodes, False, nodes)
-
-
-def _decide_parallel(system, budget, parallel, exhaust) -> Decision:
-    # Imported here: it pulls in multiprocessing, which only --parallel needs.
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-
-    n = system.n
-    if budget is None:
-        shares = [None] * n
-    else:
-        # The shares sum to the budget; a branch with a share of 0 stops
-        # at once, unsettled, so the result is Unknown.
-        q, r = divmod(budget, n)
-        shares = [q + (p < r) for p in range(n)]
-    tasks = [(n, system.block_masks, shares[p], (p,), exhaust) for p in range(n)]
-    total_nodes = 0
-    witness = None
-    exhausted_count = 0
-    budget_hit = False
-    executor = ProcessPoolExecutor(max_workers=parallel)
-    try:
-        pending = {executor.submit(_decide_worker, t) for t in tasks}
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                w, nodes, exh = fut.result()
-                total_nodes += nodes
-                if w is not None and witness is None:
-                    witness = w
-                if exh:
-                    exhausted_count += 1
-                else:
-                    budget_hit = True
-            if witness is not None:
-                break
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
-    if witness is not None:
-        return _decision_from(system, witness, total_nodes, False)
-    if exhausted_count == len(tasks) and not budget_hit:
-        return _decision_from(system, None, total_nodes, True)
-    return _decision_from(system, None, total_nodes, False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Command-line behavior: subcommands, exit codes, reports."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +74,21 @@ class TestValidateAndGen:
         r1, r2 = json.loads(out1), json.loads(out2)
         r1.pop("timing"), r2.pop("timing")
         assert r1 == r2
+
+
+@pytest.mark.parametrize("text", [
+    '{"order": 3, "blocks": 5}',
+    '{"order": 3, "blocks": [5]}',
+    '{"order": true, "blocks": []}',
+    '{"order": 3, "blocks": [[null, 1, 2]]}',
+    "order \u00b2\n0 1 2\n",
+])
+def test_malformed_system_file_is_input_error(capsys, tmp_path, text):
+    path = tmp_path / "bad.psts"
+    path.write_text(text)
+    code, out, err = run(capsys, "decide", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestDecideConstruct:
@@ -202,6 +219,12 @@ class TestCertificateAndHunt:
         assert code == 3 and out == ""
         assert "'5..3' is empty" in err
 
+    @pytest.mark.parametrize("seeds", ["--1..2", "\u00b2..3", "1..--2", "5.."])
+    def test_hunt_rejects_malformed_seed_range(self, capsys, seeds):
+        code, out, err = run(capsys, "hunt", "--order", "9", f"--seeds={seeds}")
+        assert code == 3 and out == ""
+        assert err == f"error: seed range must look like A..B, got {seeds!r}\n"
+
     def test_usage_error_exit_code(self, capsys):
         assert cli.main(["no-such-command"]) == 3
         capsys.readouterr()
@@ -219,6 +242,8 @@ class TestOptionScope:
         ["pack", "{f}", "--parallel", "2"],
         ["construct", "{f}", "--seed", "1"],
         ["gen", "cyclic", "--n", "7", "--base", "0,1,3", "--seed", "1"],
+        ["decide", "{f}", "--parallel", "2"],
+        ["hunt", "--order", "9", "--seeds", "0..1", "--parallel", "2"],
     ])
     def test_unread_option_is_usage_error(self, capsys, nine_psts, argv):
         code, _, err = run(capsys, *(a.format(f=nine_psts) for a in argv))
@@ -248,7 +273,7 @@ class TestOptionScope:
 
     def test_benchmark_argv_forms(self, capsys, nine_psts):
         code, out, _ = run(capsys, "decide", nine_psts, "--json", "--budget", "1000")
-        assert code == 0 and json.loads(out)["params"] == {"budget": 1000, "parallel": 1}
+        assert code == 0 and json.loads(out)["params"] == {"budget": 1000}
         code, out, _ = run(
             capsys, "hunt", "--order", "9", "--seeds", "0..1", "--budget", "1000",
         )
@@ -288,15 +313,38 @@ class TestRepeatedMain:
 
 
 def test_import_cli_skips_concurrent_futures():
-    # Only --parallel needs a process pool; importing the CLI must not load one.
+    # Every command pays the CLI's import time; none of them needs a
+    # process pool, so importing the CLI must not load one.
     src = str(Path(pstseq.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import sys, pstseq.cli\n"
         "assert 'concurrent.futures' not in sys.modules, 'loaded on import'\n"
+        "assert 'multiprocessing' not in sys.modules, 'loaded on import'\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
+
+
+def _parser_tree(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from _parser_tree(child)
+
+
+def test_readme_options_exist():
+    # Every option the README's "Command line" section names must be
+    # accepted somewhere, so a paragraph about a deleted option fails.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    accepted = {
+        opt for parser in _parser_tree(cli.build_parser()) for opt in parser._option_string_actions
+    }
+    assert documented >= {"--json", "--budget"}
+    assert documented <= accepted, sorted(documented - accepted)

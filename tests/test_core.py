@@ -15,6 +15,7 @@ from pstseq import (
     random_system,
     validate_system,
 )
+from pstseq.core import _is_int_token
 from pstseq.errors import (
     PairInTwoBlocks,
     PointOutOfRange,
@@ -60,6 +61,23 @@ class TestValidateSystem:
         system = validate_system(5, [["x", "y", "z"], ["x", "u", "v"]])
         for i, lab in enumerate(system.labels):
             assert system.index_of(lab) == i
+
+    @pytest.mark.parametrize("token", ["--3", "\u00b2", "+1", "-", ""])
+    def test_non_integer_token_is_an_opaque_label(self, token):
+        # int() refuses each of these, so they are labels, not indices.
+        system = validate_system(4, [[token, "a", "b"]])
+        assert system.labels[:3] == (token, "a", "b")
+
+    def test_int_token_is_a_signed_decimal(self):
+        for tok in ["7", "-7", "-0", "\u0663", "-\u0663\u0661"]:
+            assert _is_int_token(tok)
+            int(tok)
+        for tok in ["--7", "\u00b2", "-", "", "+7", "1_0", "7a", "0x7"]:
+            assert not _is_int_token(tok)
+        # every decimal digit the helper accepts is one int() reads
+        for code in range(0x110000):
+            if chr(code).isdecimal():
+                int(chr(code))
 
     def test_pair_index_maps_to_unique_block(self):
         for blk in STS13.blocks:

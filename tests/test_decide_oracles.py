@@ -184,7 +184,7 @@ def test_memo_cleared_mid_search_changes_nothing(monkeypatch):
         blocks = [b.points for b in system.blocks]
         handle = _pykernels.prepare(system.n, system.block_masks)
         tested.clear()
-        got = _pykernels.decide_search(handle, budget, False, ())
+        got = _pykernels.decide_search(handle, budget, False)
         assert got == _reference_search(system.n, blocks, budget), blocks
         # at most ``cap`` masks are held, so this many distinct ones
         # means the memo was emptied at least three times

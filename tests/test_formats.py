@@ -59,6 +59,33 @@ def test_missing_header():
         formats.parse_system_text("0 1 2\n")
 
 
+@pytest.mark.parametrize("header", ["order \u00b2", "order --3", "order 3x"])
+def test_bad_order_header(header):
+    with pytest.raises(InputError) as err:
+        formats.parse_system_text(header + "\n0 1 2\n")
+    assert "expected 'order N'" in str(err.value)
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"order": 3, "blocks": 5}', "'blocks' must be a list of lists"),
+    ('{"order": 3, "blocks": [5]}', "'blocks' must be a list of lists"),
+    ('{"order": true, "blocks": []}', "'order' must be an integer"),
+    ('{"order": 3.0, "blocks": []}', "'order' must be an integer"),
+    ('{"order": 3, "blocks": [[null, 1, 2]]}', "got None"),
+    ('{"order": 3, "blocks": [[false, 1, 2]]}', "got False"),
+    ('{"order": 3, "blocks": [[[0], 1, 2]]}', "got [0]"),
+])
+def test_malformed_json_system(text, message):
+    with pytest.raises(InputError) as err:
+        formats.parse_system_json(text)
+    assert message in str(err.value)
+
+
+def test_json_labels_may_mix_strings_and_integers():
+    system = formats.parse_system_json('{"order": 4, "blocks": [["a", 1, "2"]]}')
+    assert system.labels[:3] == ("a", "1", "2")
+
+
 def test_sequence_text_and_json():
     system = validate_system(4, [[0, 1, 2]])
     seq = formats.parse_sequence_text("1 2 3 0", system)

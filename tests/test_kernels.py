@@ -3,7 +3,7 @@
 import itertools
 
 import pstseq
-from pstseq import CyclicBase, _pykernels as pure, cyclic_system, kernels, random_system
+from pstseq import _pykernels as pure, kernels, random_system
 from conftest import oracle_has_partition_subsets
 
 
@@ -16,20 +16,13 @@ def test_prepare_returns_pure_kernels():
 def test_pure_supports_arbitrary_order():
     system = random_system(70, 8, 1)
     handle = pure.prepare(system.n, system.block_masks)
-    witness, nodes, exhausted = pure.decide_search(handle, 10_000, False, ())
+    witness, nodes, exhausted = pure.decide_search(handle, 10_000, False)
     assert sorted(witness) == list(range(70))
     assert nodes == 70 and not exhausted
     assert pure.inadmissible_scan(handle, witness, True) == []
     first = system.blocks[0].points
     perm = list(first) + [p for p in range(70) if p not in first]
     assert pure.inadmissible_scan(handle, perm, True) == [(0, 3, (0,))]
-
-
-def test_prefix_replay_applies_suffix_lookahead():
-    system = cyclic_system(CyclicBase(13, ((0, 1, 4), (0, 2, 7))))
-    handle = pure.prepare(system.n, system.block_masks)
-    for p in range(13):
-        assert pure.decide_search(handle, 1000, False, (p,)) == (None, 1, True)
 
 
 def test_pure_partition_matches_subset_oracle():

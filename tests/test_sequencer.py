@@ -81,29 +81,6 @@ class TestDecide:
         decision = decide(system)
         assert decision.outcome is Outcome.SEQUENCEABLE
 
-    def test_parallel_matches_sequential_outcome(self):
-        for seed in range(4):
-            system = random_system(9, 5, seed)
-            seq_dec = decide(system)
-            par_dec = decide(system, parallel=2)
-            assert seq_dec.outcome == par_dec.outcome
-            if par_dec.witness is not None:
-                assert is_admissible(par_dec.witness, system)
-
-    def test_parallel_prunes_in_prefix_replay(self):
-        # Each worker replays a one-point prefix; the look-ahead must
-        # prune there too, or the workers would search to their budget.
-        decision = decide(STS13, budget=100_000, parallel=2)
-        assert decision.outcome is Outcome.NOT_SEQUENCEABLE
-        assert decision.nodes_explored == 13
-
-    def test_parallel_stays_within_budget(self):
-        # Nine branches share five nodes: four branches get none and stop
-        # unsettled, so the budget is spent and the verdict is Unknown.
-        decision = decide(random_system(9, 6, 3), budget=5, parallel=2)
-        assert decision.nodes_explored <= 5
-        assert decision.outcome is Outcome.UNKNOWN
-
 
 class TestConstructSmall:
     def test_no_blocks_identity(self):
