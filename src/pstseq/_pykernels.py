@@ -14,33 +14,35 @@ from __future__ import annotations
 
 
 class PySystem:
-    __slots__ = ("n", "masks", "point_blocks")
+    __slots__ = ("n", "masks", "lead")
 
-    def __init__(self, n, masks, point_blocks):
+    def __init__(self, n, masks, lead):
         self.n = n
         self.masks = masks
-        self.point_blocks = point_blocks
+        self.lead = lead
 
 
 def prepare(n, masks):
-    """Build a search handle from block bitmasks in canonical order."""
-    point_blocks = [[] for _ in range(n)]
+    """Build a search handle from block bitmasks in canonical order.
+
+    ``lead[p]`` lists the ``(mask, id)`` pairs of the blocks whose least
+    point is ``p``, in canonical order: the only blocks that can cover
+    ``p`` inside a point set whose least point is ``p``.
+    """
+    lead = [[] for _ in range(n)]
     for bid, m in enumerate(masks):
-        mm = m
-        while mm:
-            p = (mm & -mm).bit_length() - 1
-            point_blocks[p].append(bid)
-            mm &= mm - 1
-    return PySystem(n, tuple(masks), tuple(tuple(b) for b in point_blocks))
+        lead[(m & -m).bit_length() - 1].append((m, bid))
+    return PySystem(n, tuple(masks), tuple(tuple(b) for b in lead))
 
 
 def _search_partition(sys, target, parts):
-    # Branch on the least-index uncovered point, blocks in canonical order.
+    # Branch on the least-index uncovered point p, blocks in canonical
+    # order.  A block holding a point below p cannot lie inside target,
+    # so only the blocks led by p are tried.
     if target == 0:
         return True
     p = (target & -target).bit_length() - 1
-    for bid in sys.point_blocks[p]:
-        m = sys.masks[bid]
+    for m, bid in sys.lead[p]:
         if m & target == m:
             parts.append(bid)
             if _search_partition(sys, target & ~m, parts):
@@ -184,14 +186,22 @@ def max_packing(sys, budget=None):
     """Exact maximum family of pairwise disjoint blocks.
 
     Branch on the first block compatible with the partial packing
-    (include, then exclude); bound by remaining-points / 3.  Returns
-    (size, witness ids, nodes, complete).  Branch order, bound and node
-    count are part of the contract: the tests pin all four values per
-    system against an independent reference copy.
+    (include, then exclude).  Below a node that branches at block ``j``
+    only blocks ``j, j+1, ...`` are ever added, so the node is cut when
+    the unused points those blocks reach, divided by 3, cannot lift the
+    packing above the best found so far.  A cut subtree could never
+    strictly improve the best, so the unbudgeted size and witness are
+    those of the plain remaining-points / 3 bound; only the node count
+    falls.  Returns (size, witness ids, nodes, complete).  Branch order,
+    bound and node count are part of the contract: the tests pin all
+    four values per system against an independent reference copy of
+    this reach bound.
     """
-    n = sys.n
     masks = sys.masks
     nblocks = len(masks)
+    reach = [0] * (nblocks + 1)
+    for j in range(nblocks - 1, -1, -1):
+        reach[j] = reach[j + 1] | masks[j]
     best = 0
     witness = ()
     nodes = 0
@@ -214,7 +224,7 @@ def max_packing(sys, budget=None):
                 best = len(chosen)
                 witness = tuple(chosen)
             return
-        if len(chosen) + (n - used.bit_count()) // 3 <= best:
+        if len(chosen) + (reach[j] & ~used).bit_count() // 3 <= best:
             return
         chosen.append(j)
         rec(j + 1, used | masks[j])

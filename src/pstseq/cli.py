@@ -199,21 +199,23 @@ def _emit_system(args, report: _Report, system: TripleSystem, comment: str) -> i
     return EXIT_OK
 
 
+def _int_list(raw: str, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in raw.split(","))
+    except ValueError:
+        raise InputError(f"{what} must be comma-separated integers: {raw!r}") from None
+
+
 def cmd_gen(args, report: _Report) -> int:
     if args.kind == "cyclic":
-        bases = []
-        for raw in args.base:
-            try:
-                bases.append(tuple(int(x) for x in raw.split(",")))
-            except ValueError:
-                raise InputError(f"base block must be comma-separated integers: {raw!r}")
-        system = generators.cyclic_system(generators.CyclicBase(args.n, tuple(bases)))
+        bases = tuple(_int_list(raw, "base block") for raw in args.base)
+        system = generators.cyclic_system(generators.CyclicBase(args.n, bases))
         comment = f"gen cyclic --n {args.n} " + " ".join(f"--base {b}" for b in args.base)
     elif args.kind == "friendship":
         system = generators.friendship(args.m)
         comment = f"gen friendship --m {args.m}"
     elif args.kind == "chain":
-        sizes = [int(x) for x in args.sizes.split(",")]
+        sizes = _int_list(args.sizes, "--sizes")
         system = generators.friendship_chain(sizes)
         comment = f"gen chain --sizes {args.sizes}"
     else:

@@ -58,8 +58,9 @@ def max_disjoint_blocks(system: TripleSystem, budget: Optional[int] = None) -> P
     """Exact maximum packing by branch-and-bound over canonical block order.
 
     Branches on the first block compatible with the partial packing
-    (include, then exclude) and bounds by remaining-points / 3.  With a
-    budget the search may stop early and the result is flagged inexact.
+    (include, then exclude) and bounds by the unused points that blocks
+    from the branch block on still reach, divided by 3.  With a budget
+    the search may stop early and the result is flagged inexact.
     A negative budget raises ``InputError``.
     """
     mod, handle = system._kernel

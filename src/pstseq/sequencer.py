@@ -34,7 +34,7 @@ from .errors import (
     SequenceNotPermutation,
 )
 from .generators import CyclicBase, cyclic_system
-from .packing import bad_sets, max_disjoint_blocks
+from .packing import PackingResult, bad_sets, max_disjoint_blocks
 
 #: Default node budget for exhaustive decision searches.
 DEFAULT_BUDGET = 10**8
@@ -460,6 +460,13 @@ def interleave_large(system: TripleSystem, k: int) -> Sequence:
             f"interleaving needs order >= {15 * k - 5} for packing number {k}, "
             f"got {system.n}"
         )
+    return _interleave(system, result)
+
+
+def _interleave(system: TripleSystem, result: PackingResult) -> Sequence:
+    # The body of ``interleave_large`` for a maximum packing already
+    # computed and checked against the order.
+    k = result.nu
     u_points = [p for blk in result.witness for p in blk.points]
     u_set = set(u_points)
     outside = sorted(p for p in system.points() if p not in u_set)
@@ -564,7 +571,7 @@ def construct(system: TripleSystem, budget: Optional[int] = DEFAULT_BUDGET) -> S
             return _verified(system, labeling.sequence.entries, "order-12 template")
         return _construct_extend(system, result.witness)
     if system.n >= 15 * nu - 5:
-        return interleave_large(system, nu)
+        return _interleave(system, result)
     decision = decide(system, budget=budget)
     if decision.outcome is Outcome.SEQUENCEABLE:
         return decision.witness

@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, exit codes, reports."""
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -50,6 +51,16 @@ class TestValidateAndGen:
         assert code == 0
         system = formats.parse_system_text(out)
         assert system.n == 9 and len(system.blocks) == 4
+
+    @pytest.mark.parametrize("argv,message", [
+        (["chain", "--sizes", "2,x"], "--sizes must be comma-separated integers: '2,x'"),
+        (["cyclic", "--n", "7", "--base", "0,1,y"],
+         "base block must be comma-separated integers: '0,1,y'"),
+    ])
+    def test_gen_bad_integer_list_is_input_error(self, capsys, argv, message):
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 3 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_gen_random_deterministic(self, capsys):
         code, out1, _ = run(capsys, "gen", "random", "--n", "12", "--blocks", "4", "--seed", "7")
@@ -213,6 +224,22 @@ class TestCertificateAndHunt:
         assert [r["seed"] for r in lines] == [0, 1, 2, 3]
         assert all(r["outcome"] == "sequenceable" for r in lines)
         assert code == 0
+
+    def test_hunt_records_are_pinned(self, capsys):
+        # A golden digest of three hunt streams: any change to a verdict,
+        # node count or packing number in a record changes it.
+        digest = hashlib.sha256()
+        codes = []
+        for order, seeds in (("13", "0..99"), ("15", "0..99"), ("19", "0..29")):
+            code, out, _ = run(
+                capsys, "hunt", "--order", order, "--seeds", seeds, "--budget", "200"
+            )
+            codes.append(code)
+            digest.update(out.encode())
+        assert codes == [2, 0, 1]
+        assert digest.hexdigest() == (
+            "313bbfc0a0349a85019471e491159f9f05e099330970489452bc46b7fb65b791"
+        )
 
     def test_hunt_rejects_empty_seed_range(self, capsys):
         code, out, err = run(capsys, "hunt", "--order", "9", "--seeds", "5..3")

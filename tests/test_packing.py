@@ -1,6 +1,8 @@
 """Maximum packings, bad sets, and induced-matching structure."""
 
+import functools
 import itertools
+import operator
 
 import pytest
 
@@ -24,9 +26,10 @@ from conftest import oracle_max_packing, oracle_partitions
 STS13 = cyclic_system(CyclicBase(13, ((0, 1, 4), (0, 2, 7))))
 
 
-def _reference_packing(n, masks, budget):
+def _reference_packing(n, masks, budget, bound):
     """Reference branch-and-bound with its counters held in a dict:
-    first compatible block, include then exclude, bound by points / 3."""
+    first compatible block j, include then exclude, cut when the
+    chosen blocks plus ``bound(j, used)`` cannot beat the best."""
     state = {"best": 0, "witness": (), "nodes": 0, "complete": True}
     chosen = []
 
@@ -45,7 +48,7 @@ def _reference_packing(n, masks, budget):
                 state["best"] = len(chosen)
                 state["witness"] = tuple(chosen)
             return
-        if len(chosen) + (n - bin(used).count("1")) // 3 <= state["best"]:
+        if len(chosen) + bound(j, used) <= state["best"]:
             return
         chosen.append(j)
         rec(j + 1, used | masks[j])
@@ -54,6 +57,26 @@ def _reference_packing(n, masks, budget):
 
     rec(0, 0)
     return state["best"], state["witness"], state["nodes"], state["complete"]
+
+
+def _reach_bound(n, masks):
+    """Unused points that blocks j, j+1, ... still cover, / 3."""
+    reach = [functools.reduce(operator.or_, masks[j:], 0) for j in range(len(masks))]
+    return lambda j, used: bin(reach[j] & ~used).count("1") // 3
+
+
+def _points_bound(n, masks):
+    """All unused points / 3."""
+    return lambda j, used: (n - bin(used).count("1")) // 3
+
+
+def _packing_systems():
+    systems = [STS13, friendship(4)]
+    for n in range(22):
+        bound = johnson_schonheim(n)
+        for target in {bound, bound // 2}:
+            systems += [random_system(n, target, seed) for seed in range(8)]
+    return systems
 
 
 class TestMaxDisjointBlocks:
@@ -84,17 +107,13 @@ class TestMaxDisjointBlocks:
             assert max_disjoint_blocks(system).nu == oracle_max_packing(system)
 
     def test_matches_reference_branch_and_bound(self):
-        systems = [STS13, friendship(4)]
-        for n in range(22):
-            bound = johnson_schonheim(n)
-            for target in {bound, bound // 2}:
-                systems += [random_system(n, target, seed) for seed in range(8)]
         budgeted = 0
-        for system in systems:
+        for system in _packing_systems():
+            masks = [b.mask for b in system.blocks]
             for budget in (None, 1, 10, 100):
                 result = max_disjoint_blocks(system, budget=budget)
                 nu, ids, nodes, complete = _reference_packing(
-                    system.n, [b.mask for b in system.blocks], budget
+                    system.n, masks, budget, _reach_bound(system.n, masks)
                 )
                 assert result.nu == nu
                 assert result.witness == tuple(system.blocks[i] for i in ids)
@@ -102,6 +121,27 @@ class TestMaxDisjointBlocks:
                 assert result.exact == complete
                 budgeted += not complete
         assert budgeted > 50
+
+    def test_reach_bound_only_cuts_nodes(self):
+        # Against the plain remaining-points / 3 bound: the same exact
+        # answer and witness in no more nodes, and under a budget a
+        # packing at least as large.
+        saved = raised = 0
+        for system in _packing_systems():
+            masks = [b.mask for b in system.blocks]
+            points = _points_bound(system.n, masks)
+            result = max_disjoint_blocks(system)
+            nu, ids, nodes, complete = _reference_packing(system.n, masks, None, points)
+            assert (result.nu, result.exact) == (nu, complete) == (nu, True)
+            assert result.witness == tuple(system.blocks[i] for i in ids)
+            assert result.nodes_explored <= nodes
+            saved += nodes - result.nodes_explored
+            for budget in (1, 10, 100):
+                got = max_disjoint_blocks(system, budget=budget).nu
+                old = _reference_packing(system.n, masks, budget, points)[0]
+                assert got >= old
+                raised += got > old
+        assert saved > 0 and raised > 0
 
     def test_nu_bounded_by_order_third(self):
         for seed in range(10):
