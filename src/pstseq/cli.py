@@ -200,10 +200,10 @@ def _emit_system(args, report: _Report, system: TripleSystem, comment: str) -> i
 
 
 def _int_list(raw: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in raw.split(","))
-    except ValueError:
-        raise InputError(f"{what} must be comma-separated integers: {raw!r}") from None
+    tokens = raw.split(",")
+    if not all(map(_is_int_token, tokens)):
+        raise InputError(f"{what} must be comma-separated integers: {raw!r}")
+    return tuple(map(int, tokens))
 
 
 def cmd_gen(args, report: _Report) -> int:

@@ -49,6 +49,17 @@ class Block:
         return (1 << a) | (1 << b) | (1 << c)
 
 
+def _sorted_block(points: tuple[int, int, int]) -> Block:
+    """A Block from three distinct points already in ascending order.
+
+    Skips the checks of ``Block.__post_init__``: the caller has made
+    them on the plain tuple.
+    """
+    blk = object.__new__(Block)
+    object.__setattr__(blk, "points", points)
+    return blk
+
+
 @dataclass(frozen=True)
 class Sequence:
     """A candidate witness: a permutation of all points of a system."""
@@ -105,7 +116,10 @@ class TripleSystem:
     """Validated point set plus edge-disjoint block family.
 
     ``labels`` maps dense indices 0..n-1 back to the input tokens;
-    ``pair_index`` maps each covered unordered pair to its unique block.
+    ``pair_index`` maps each covered unordered pair to its unique block;
+    ``block_masks`` holds each block's points as a bitmask.  Both are
+    built in one pass over the blocks, which raises PairInTwoBlocks,
+    naming both blocks, at the first pair covered twice.
     """
 
     __slots__ = ("n", "blocks", "labels", "pair_index", "block_masks", "_kernel", "_label_to_index")
@@ -115,18 +129,20 @@ class TripleSystem:
         self.blocks = blocks
         self.labels = labels
         pair_index: dict[tuple[int, int], Block] = {}
+        masks = []
         for blk in blocks:
             a, b, c = blk.points
-            for pair in ((a, b), (a, c), (b, c)):
-                other = pair_index.get(pair)
-                if other is not None:
-                    raise PairInTwoBlocks(
-                        f"pair {self._pair_repr(pair)} lies in two blocks: "
-                        f"{self.block_labels(other)} and {self.block_labels(blk)}"
-                    )
-                pair_index[pair] = blk
+            ab, ac, bc = (a, b), (a, c), (b, c)
+            if ab in pair_index or ac in pair_index or bc in pair_index:
+                pair = ab if ab in pair_index else ac if ac in pair_index else bc
+                raise PairInTwoBlocks(
+                    f"pair {self._pair_repr(pair)} lies in two blocks: "
+                    f"{self.block_labels(pair_index[pair])} and {self.block_labels(blk)}"
+                )
+            pair_index[ab] = pair_index[ac] = pair_index[bc] = blk
+            masks.append(1 << a | 1 << b | 1 << c)
         self.pair_index: Mapping[tuple[int, int], Block] = pair_index
-        self.block_masks = tuple(blk.mask for blk in blocks)
+        self.block_masks = tuple(masks)
         self._kernel = kernels.prepare(n, self.block_masks)
         self._label_to_index = {lab: i for i, lab in enumerate(labels)}
 
@@ -175,15 +191,17 @@ class TripleSystem:
         """Induced system on ``points``; also returns old->new index map."""
         pts = sorted(set(points))
         back = {old: new for new, old in enumerate(pts)}
-        keep = set(pts)
-        blocks = [
-            tuple(back[p] for p in blk.points)
-            for blk in self.blocks
-            if all(p in keep for p in blk.points)
-        ]
+        # ``back`` is increasing, so each mapped block stays in ascending
+        # order and needs no re-check.
+        rows = []
+        for blk in self.blocks:
+            a, b, c = blk.points
+            if a in back and b in back and c in back:
+                rows.append((back[a], back[b], back[c]))
+        rows.sort()
         sub = TripleSystem(
             len(pts),
-            tuple(sorted(Block(tuple(sorted(b))) for b in blocks)),
+            tuple(map(_sorted_block, rows)),
             tuple(self.labels[p] for p in pts),
         )
         return sub, back
@@ -213,15 +231,12 @@ def _all_index_tokens(raw_blocks, n: int):
     out = []
     for triple in raw_blocks:
         row = []
-        for tok in triple:
-            if isinstance(tok, bool):
-                return None
-            if isinstance(tok, int):
-                v = tok
-            elif isinstance(tok, str) and _is_int_token(tok):
-                v = int(tok)
-            else:
-                return None
+        for v in triple:
+            if type(v) is not int:
+                if isinstance(v, str) and _is_int_token(v):
+                    v = int(v)
+                elif isinstance(v, bool) or not isinstance(v, int):
+                    return None
             if not 0 <= v < n:
                 return None
             row.append(v)
@@ -237,6 +252,11 @@ def validate_system(n: int, raw_blocks: Iterable) -> TripleSystem:
     tokens are opaque labels, indexed by first appearance, and points
     never named get synthetic labels.  Raises RepeatedPointInBlock,
     PairInTwoBlocks or PointOutOfRange on malformed input.
+
+    The checks run on plain ``(a, b, c)`` tuples: every row is sorted
+    and checked for a repeated point, then the rows are sorted and
+    checked for a block listed twice, and only then are the Blocks
+    built, without repeating those checks.
     """
     if n < 0:
         raise PointOutOfRange(f"order must be nonnegative, got {n}")
@@ -277,16 +297,17 @@ def validate_system(n: int, raw_blocks: Iterable) -> TripleSystem:
                 used.add(synth)
         labels = tuple(labels_list)
 
-    blocks = []
+    rows = []
     for t, row in zip(triples, index_triples):
-        if len(set(row)) != 3:
+        a, b, c = sorted(row)
+        if a == b or b == c:
             raise RepeatedPointInBlock(f"block repeats a point: {t!r}")
-        blocks.append(Block(tuple(sorted(row))))
-    blocks.sort()
-    for a, b in zip(blocks, blocks[1:]):
-        if a == b:
-            raise PairInTwoBlocks(f"block listed twice: {a.points}")
-    return TripleSystem(n, tuple(blocks), labels)
+        rows.append((a, b, c))
+    rows.sort()
+    for prev, row in zip(rows, rows[1:]):
+        if prev == row:
+            raise PairInTwoBlocks(f"block listed twice: {row}")
+    return TripleSystem(n, tuple(map(_sorted_block, rows)), labels)
 
 
 def _entries_of(seq) -> tuple[int, ...]:

@@ -115,6 +115,27 @@ def johnson_schonheim(n: int) -> int:
     return bound
 
 
+def _shuffle(x: list, getrandbits) -> None:
+    """Shuffle ``x`` in place exactly as ``random.Random.shuffle`` does.
+
+    The stdlib shuffle with ``_randbelow_with_getrandbits`` inlined: the
+    same ``getrandbits(k)`` calls in the same order, with the same
+    rejection of draws above ``i``, so it gives the same permutation.
+    ``k`` is the bit length of ``i + 1``; it only changes when ``i + 1``
+    drops below a power of two, that is when ``i`` drops below ``low``.
+    """
+    k = len(x).bit_length()
+    low = (1 << k >> 1) - 1
+    for i in range(len(x) - 1, 0, -1):
+        if i < low:
+            k -= 1
+            low >>= 1
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
 def random_system(n: int, target_blocks: int, seed: int) -> TripleSystem:
     """Seeded greedy system: shuffle all triples, insert pair-disjoint ones.
 
@@ -123,7 +144,9 @@ def random_system(n: int, target_blocks: int, seed: int) -> TripleSystem:
     achieved count off the system.  Used pairs are kept as one adjacency
     bitmask per point.  The shuffle and the scan order are part of the
     contract, so a seed names the same system across versions; the tests
-    pin it against an independent pair-set reference.
+    pin it against an independent pair-set reference and by a digest.
+    The shuffle is ``random.Random(seed).shuffle`` with its draw helper
+    inlined (``_shuffle``); a test checks it against the stdlib one.
     """
     bound = johnson_schonheim(n)
     if target_blocks < 0:
@@ -132,14 +155,14 @@ def random_system(n: int, target_blocks: int, seed: int) -> TripleSystem:
         raise ValueError(
             f"target {target_blocks} exceeds the order-{n} block bound {bound}"
         )
-    rng = random.Random(seed)
+    if not target_blocks:
+        return validate_system(n, ())
     triples = list(itertools.combinations(range(n), 3))
-    rng.shuffle(triples)
+    _shuffle(triples, random.Random(seed).getrandbits)
     adj = [0] * n
     chosen = []
+    wanted = target_blocks
     for t in triples:
-        if len(chosen) >= target_blocks:
-            break
         a, b, c = t
         if adj[a] >> b & 1 or adj[a] >> c & 1 or adj[b] >> c & 1:
             continue
@@ -147,4 +170,7 @@ def random_system(n: int, target_blocks: int, seed: int) -> TripleSystem:
         adj[b] |= 1 << a | 1 << c
         adj[c] |= 1 << a | 1 << b
         chosen.append(t)
+        wanted -= 1
+        if not wanted:
+            break
     return validate_system(n, sorted(chosen))

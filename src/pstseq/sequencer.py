@@ -298,7 +298,8 @@ def _construct_ten(system: TripleSystem, witness) -> Sequence:
 
 def _construct_eleven(system: TripleSystem, witness) -> Sequence:
     wpoints = sorted(p for blk in witness for p in blk)
-    extras = [p for p in system.points() if p not in set(wpoints)]
+    wset = set(wpoints)
+    extras = [p for p in system.points() if p not in wset]
     a_pt, b_pt = extras
     everything = set(system.points())
 
@@ -420,7 +421,8 @@ def extend(
         raise ResidualNotAdmissible(
             "the residual sequence is inadmissible on the induced subsystem"
         )
-    rest = [p for p in system.points() if p not in set(pts)]
+    placed = set(pts)
+    rest = [p for p in system.points() if p not in placed]
     full = list(entries) + rest
     if not is_admissible(full, system):
         raise ValueError(
@@ -432,7 +434,8 @@ def extend(
 
 def _construct_extend(system: TripleSystem, witness) -> Sequence:
     wpts = sorted(p for blk in witness for p in blk)
-    pool = [p for p in system.points() if p not in set(wpts)]
+    wset = set(wpts)
+    pool = [p for p in system.points() if p not in wset]
     residual = wpts + pool[:3]
     sub, back = system.subsystem(residual)
     sub_blocks = tuple(Block(tuple(sorted(back[p] for p in blk))) for blk in witness)

@@ -56,6 +56,10 @@ class TestValidateAndGen:
         (["chain", "--sizes", "2,x"], "--sizes must be comma-separated integers: '2,x'"),
         (["cyclic", "--n", "7", "--base", "0,1,y"],
          "base block must be comma-separated integers: '0,1,y'"),
+        # int() reads these, but no other integer input takes them
+        (["chain", "--sizes", "2_0,2"], "--sizes must be comma-separated integers: '2_0,2'"),
+        (["cyclic", "--n", "13", "--base", " 0,+1,4"],
+         "base block must be comma-separated integers: ' 0,+1,4'"),
     ])
     def test_gen_bad_integer_list_is_input_error(self, capsys, argv, message):
         code, out, err = run(capsys, "gen", *argv)

@@ -1,5 +1,7 @@
 """System validation, partitioning, and admissibility semantics."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +10,14 @@ from pstseq import (
     Block,
     CyclicBase,
     Sequence,
+    TripleSystem,
+    construct,
     cyclic_system,
+    formats,
     inadmissible_segments,
     is_admissible,
+    johnson_schonheim,
+    max_disjoint_blocks,
     partition_into_blocks,
     random_system,
     validate_system,
@@ -84,6 +91,177 @@ class TestValidateSystem:
             a, b, c = blk.points
             assert STS13.block_of_pair(a, b) == blk
             assert STS13.block_of_pair(b, c) == blk
+
+
+def _reference_labels(n, rows):
+    """(labels, index rows) by the documented rule, from plain tokens."""
+    def is_index(tok):
+        if isinstance(tok, bool):
+            return False
+        if isinstance(tok, str):
+            return _is_int_token(tok) and 0 <= int(tok) < n
+        return isinstance(tok, int) and 0 <= tok < n
+
+    if all(is_index(tok) for row in rows for tok in row):
+        return tuple(map(str, range(n))), [[int(tok) for tok in row] for row in rows]
+    index = {}
+    for row in rows:
+        for tok in row:
+            index.setdefault(str(tok), len(index))
+    labels = [None] * n
+    for key, i in index.items():
+        labels[i] = key
+    taken = set(index)
+    for i in range(n):
+        if labels[i] is None:
+            synth = str(i)
+            while synth in taken:
+                synth = "_" + synth
+            labels[i] = synth
+            taken.add(synth)
+    return tuple(labels), [[index[str(tok)] for tok in row] for row in rows]
+
+
+def _reference_fields(n, index_rows, labels):
+    """Every field of a valid system, built from public Blocks and a pair scan."""
+    blocks = tuple(sorted(Block(tuple(row)) for row in index_rows))
+    pair_index = {}
+    for blk in blocks:
+        for pair in itertools.combinations(blk.points, 2):
+            assert pair not in pair_index
+            pair_index[pair] = blk
+    masks = tuple(blk.mask for blk in blocks)
+    lead = tuple(
+        tuple((m, i) for i, (m, blk) in enumerate(zip(masks, blocks)) if blk.points[0] == p)
+        for p in range(n)
+    )
+    return blocks, labels, pair_index, masks, masks, lead
+
+
+def _fields(system):
+    handle = system._kernel[1]
+    return (
+        system.blocks,
+        system.labels,
+        dict(system.pair_index),
+        system.block_masks,
+        handle.masks,
+        handle.lead,
+    )
+
+
+def _assert_built_like_reference(system, n, index_rows, labels):
+    assert system.n == n
+    assert _fields(system) == _reference_fields(n, index_rows, labels)
+    for blk in system.blocks:
+        assert type(blk) is Block and type(blk.points) is tuple
+        assert blk == Block(blk.points) and hash(blk) == hash(Block(blk.points))
+
+
+def _assert_validates_like_reference(n, rows):
+    labels, index_rows = _reference_labels(n, rows)
+    _assert_built_like_reference(validate_system(n, rows), n, index_rows, labels)
+
+
+class TestBuildPath:
+    def test_random_systems(self):
+        for n in range(31):
+            bound = johnson_schonheim(n)
+            for target in sorted({bound, bound // 2}):
+                for seed in range(3):
+                    system = random_system(n, target, seed)
+                    rows = [list(b.points) for b in system.blocks]
+                    _assert_validates_like_reference(n, rows)
+                    _assert_built_like_reference(system, n, rows, tuple(map(str, range(n))))
+
+    @pytest.mark.parametrize("text", [
+        "order 9\n1 2 3\n4 5 6\n7 8 9\n",
+        "order 9\nc a b\nz y x\nb y 0\n",
+        "order 10\n1 2 3\n3 4 5\n9 8 1\n",
+        "order 7\n0 1 2\n2 3 4\n",
+        "order 12\n_3 3 x\n4 5 6\n",
+        "order 6\n5 4 3\n-1 1 2\n",
+    ])
+    def test_labeled_psts(self, text):
+        lines = text.splitlines()
+        n = int(lines[0].split()[1])
+        rows = [line.split() for line in lines[1:]]
+        labels, index_rows = _reference_labels(n, rows)
+        _assert_built_like_reference(formats.parse_system_text(text), n, index_rows, labels)
+
+    def test_mixed_tokens(self):
+        _assert_validates_like_reference(9, [(0, "1", 2), (3, 4, 5), ("8", 7, 6)])
+        _assert_validates_like_reference(9, [(0, "1", 2), (3, 4, 9), ("a", 7, 6)])
+        _assert_validates_like_reference(5, [(True, 2, 3)])
+
+    @pytest.mark.parametrize("n,bases", [
+        (13, ((0, 1, 4), (0, 2, 7))),
+        (27, ((0, 1, 3), (0, 4, 11), (0, 5, 15), (0, 6, 14), (0, 9, 18))),
+    ])
+    def test_cyclic(self, n, bases):
+        rows = sorted({
+            tuple(sorted((x + j) % n for x in b)) for b in bases for j in range(n)
+        })
+        _assert_built_like_reference(cyclic_system(CyclicBase(n, bases)), n, rows,
+                                     tuple(map(str, range(n))))
+
+    def test_subsystems_of_the_extend_route(self, corpus_nu_le3, monkeypatch):
+        calls = []
+        subsystem = TripleSystem.subsystem
+
+        def recording(self, points):
+            points = list(points)
+            result = subsystem(self, points)
+            calls.append((self, points, result))
+            return result
+
+        monkeypatch.setattr(TripleSystem, "subsystem", recording)
+        for system in corpus_nu_le3:
+            if system.n >= 13 and max_disjoint_blocks(system).nu == 3:
+                construct(system)
+        assert len(calls) > 100
+        for system, points, (sub, back) in calls:
+            pts = sorted(set(points))
+            assert back == {old: new for new, old in enumerate(pts)}
+            rows = [
+                [back[p] for p in blk.points]
+                for blk in system.blocks
+                if set(blk.points) <= set(pts)
+            ]
+            _assert_built_like_reference(sub, len(pts), rows,
+                                         tuple(system.labels[p] for p in pts))
+
+    @pytest.mark.parametrize("n,rows,error,message", [
+        (5, [(1, 1, 2), (0, 3, 4), (0, 3, 4)], RepeatedPointInBlock,
+         "block repeats a point: (1, 1, 2)"),
+        (5, [(0, 3, 4), (0, 3, 4), (1, 1, 2)], RepeatedPointInBlock,
+         "block repeats a point: (1, 1, 2)"),
+        (5, [("a", "a", "b")], RepeatedPointInBlock, "block repeats a point: ('a', 'a', 'b')"),
+        (5, [(0, 1)], RepeatedPointInBlock, "block must have exactly 3 points: (0, 1)"),
+        (5, [(0, 3, 4), (4, 0, 3)], PairInTwoBlocks, "block listed twice: (0, 3, 4)"),
+        (5, [(0, 1, 2), (0, 1, 3)], PairInTwoBlocks,
+         "pair {0, 1} lies in two blocks: ('0', '1', '2') and ('0', '1', '3')"),
+        (5, [(0, 1, 3), (1, 2, 3)], PairInTwoBlocks,
+         "pair {1, 3} lies in two blocks: ('0', '1', '3') and ('1', '2', '3')"),
+        (5, [(0, 2, 3), (1, 2, 3)], PairInTwoBlocks,
+         "pair {2, 3} lies in two blocks: ('0', '2', '3') and ('1', '2', '3')"),
+        (7, [(5, 6, 4), (0, 1, 2), (6, 5, 0)], PairInTwoBlocks,
+         "pair {5, 6} lies in two blocks: ('0', '5', '6') and ('4', '5', '6')"),
+        (6, [("x", "y", "z"), ("u", "z", "x")], PairInTwoBlocks,
+         "pair {x, z} lies in two blocks: ('x', 'y', 'z') and ('x', 'z', 'u')"),
+        (4, [(0, 1, 2), (3, 4, 5)], PointOutOfRange,
+         "6 distinct labels exceed the declared order 4"),
+        (-1, [], PointOutOfRange, "order must be nonnegative, got -1"),
+    ], ids=[
+        "repeat-before-duplicate", "repeat-after-duplicate", "repeated-label", "two-points",
+        "duplicate", "shared-ab", "shared-ac", "shared-bc", "shared-unsorted",
+        "shared-labels", "too-many-labels", "negative-order",
+    ])
+    def test_malformed_input(self, n, rows, error, message):
+        with pytest.raises(error) as err:
+            validate_system(n, rows)
+        assert type(err.value) is error
+        assert str(err.value) == message
 
 
 class TestPartitionIntoBlocks:

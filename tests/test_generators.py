@@ -1,5 +1,6 @@
 """Generator constructions and the block-count bound."""
 
+import hashlib
 import itertools
 import random
 
@@ -18,6 +19,7 @@ from pstseq import (
     validate_system,
 )
 from pstseq.errors import DevelopmentCollision, SizeTooSmall
+from pstseq.generators import _shuffle
 
 
 class TestCyclic:
@@ -145,6 +147,35 @@ def _pair_set_greedy(n, target, seed):
 
 
 class TestRandomSystem:
+    def test_shuffle_matches_stdlib(self):
+        # Lengths up to 1100 cross every power-of-two boundary of the
+        # draw width up to C(19, 3) = 969 triples and past it.
+        for seed in range(50):
+            for length in range(1101):
+                expected = list(range(length))
+                random.Random(seed).shuffle(expected)
+                got = list(range(length))
+                _shuffle(got, random.Random(seed).getrandbits)
+                assert got == expected, (seed, length)
+
+    def test_seed_names_the_same_system(self):
+        # SHA-256 of the systems the seeds named before the shuffle was
+        # inlined; a seed must keep naming the same system.
+        digest = hashlib.sha256()
+        count = 0
+        for n in range(31):
+            bound = johnson_schonheim(n)
+            for target in sorted({bound, bound // 2}):
+                for seed in range(20):
+                    system = random_system(n, target, seed)
+                    digest.update(repr((n, tuple(b.points for b in system.blocks))).encode())
+                    digest.update(b"\n")
+                    count += 1
+        assert count == 1180
+        assert digest.hexdigest() == (
+            "807d43135f27eed18e4962e2edda88206d3f75448b2a0b6751520a2e71cef0a9"
+        )
+
     def test_matches_pair_set_reference(self):
         saturated = 0
         for n in range(26):
