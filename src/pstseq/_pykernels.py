@@ -14,12 +14,13 @@ from __future__ import annotations
 
 
 class PySystem:
-    __slots__ = ("n", "masks", "lead")
+    __slots__ = ("n", "masks", "lead", "triples")
 
     def __init__(self, n, masks, lead):
         self.n = n
         self.masks = masks
         self.lead = lead
+        self.triples = None
 
 
 def prepare(n, masks):
@@ -33,6 +34,20 @@ def prepare(n, masks):
     for bid, m in enumerate(masks):
         lead[(m & -m).bit_length() - 1].append((m, bid))
     return PySystem(n, tuple(masks), tuple(tuple(b) for b in lead))
+
+
+def _triples(sys):
+    # Each block's points in ascending order, built on first use and
+    # kept on the handle: only the scan and the packing search need them.
+    triples = sys.triples
+    if triples is None:
+        triples = []
+        for m in sys.masks:
+            a = (m & -m).bit_length() - 1
+            c = m.bit_length() - 1
+            triples.append((a, (m ^ (1 << a | 1 << c)).bit_length() - 1, c))
+        sys.triples = triples
+    return triples
 
 
 def _search_partition(sys, target, parts):
@@ -51,6 +66,17 @@ def _search_partition(sys, target, parts):
     return False
 
 
+def _fits(sys, target):
+    # ``_search_partition`` without the parts list: whether ``target``
+    # splits into disjoint blocks.
+    if target == 0:
+        return True
+    for m, _ in sys.lead[(target & -target).bit_length() - 1]:
+        if m & target == m and _fits(sys, target ^ m):
+            return True
+    return False
+
+
 def find_partition(sys, mask):
     """Partition ``mask`` into disjoint blocks; block ids or None."""
     if mask.bit_count() % 3:
@@ -62,9 +88,9 @@ def find_partition(sys, mask):
 
 
 def can_partition(sys, mask):
-    if mask.bit_count() % 3:
-        return False
-    return _search_partition(sys, mask, [])
+    """Whether ``mask`` splits into disjoint blocks, by the same
+    least-point branching as ``find_partition`` but with no parts kept."""
+    return mask.bit_count() % 3 == 0 and _fits(sys, mask)
 
 
 def inadmissible_scan(sys, entries, stop_first=False):
@@ -72,19 +98,50 @@ def inadmissible_scan(sys, entries, stop_first=False):
 
     Scans lengths 3, 6, ... below n, each over all starts; returns
     (start, length, parts) triples in (length, start) order.
+
+    A segment that splits has the entry at each of its ends in a block
+    inside it.  So, with each block spanning the positions from its
+    lowest to its highest entry, segment [s, e] is tested only when some
+    block spanning from s ends at or before e (``first_end[s] <= e``)
+    and some block spanning to e starts at or after s
+    (``last_start[e] >= s``).  The filter skips only segments that
+    cannot split, so the hits and their order are those of the full
+    scan.  A segment that passes is tested by ``_fits``, and only one
+    that splits goes to ``find_partition`` for its parts; the scan never
+    calls ``can_partition``.
     """
     n = sys.n
+    pos = [0] * n
     pm = [0] * (n + 1)
     for i, e in enumerate(entries):
+        pos[e] = i
         pm[i + 1] = pm[i] | (1 << e)
+    first_end = [n] * n
+    last_start = [-1] * n
+    for a, b, c in _triples(sys):
+        x = pos[a]
+        y = pos[b]
+        z = pos[c]
+        if x > y:
+            x, y = y, x
+        if y > z:
+            y, z = z, y
+            if x > y:
+                x = y
+        if z < first_end[x]:
+            first_end[x] = z
+        if x > last_start[z]:
+            last_start[z] = x
     out = []
     for length in range(3, n, 3):
         for start in range(n - length + 1):
-            parts = find_partition(sys, pm[start + length] ^ pm[start])
-            if parts is not None:
-                out.append((start, length, parts))
-                if stop_first:
-                    return out
+            end = start + length - 1
+            if first_end[start] <= end and last_start[end] >= start:
+                mask = pm[end + 1] ^ pm[start]
+                if _fits(sys, mask):
+                    out.append((start, length, find_partition(sys, mask)))
+                    if stop_first:
+                        return out
     return out
 
 
@@ -187,21 +244,46 @@ def max_packing(sys, budget=None):
 
     Branch on the first block compatible with the partial packing
     (include, then exclude).  Below a node that branches at block ``j``
-    only blocks ``j, j+1, ...`` are ever added, so the node is cut when
-    the unused points those blocks reach, divided by 3, cannot lift the
-    packing above the best found so far.  A cut subtree could never
-    strictly improve the best, so the unbudgeted size and witness are
-    those of the plain remaining-points / 3 bound; only the node count
-    falls.  Returns (size, witness ids, nodes, complete).  Branch order,
-    bound and node count are part of the contract: the tests pin all
-    four values per system against an independent reference copy of
-    this reach bound.
+    only blocks ``j, j+1, ...`` are ever added, and two bounds cap how
+    many more fit: the unused points those blocks reach, divided by 3,
+    and the unused points of ``hit[j]``, a set meeting every one of
+    those blocks (disjoint blocks meet it in distinct points).
+    ``hit`` is built backwards over the blocks: a block that misses
+    ``hit[j+1]`` adds its point of highest degree, the least such point
+    on a tie.  A node is cut when either bound cannot lift the packing
+    above the best found so far.  A cut subtree could never strictly
+    improve the best, so the unbudgeted size and witness are those of
+    the plain remaining-points / 3 bound; only the node count falls,
+    and under a budget the size can only grow.  Returns (size, witness
+    ids, nodes, complete).  Branch order, bounds and node count are
+    part of the contract: the tests pin all four values per system
+    against an independent reference copy of these bounds.
     """
     masks = sys.masks
+    triples = _triples(sys)
     nblocks = len(masks)
+    deg = [0] * sys.n
+    for a, b, c in triples:
+        deg[a] += 1
+        deg[b] += 1
+        deg[c] += 1
     reach = [0] * (nblocks + 1)
+    hit = [0] * (nblocks + 1)
+    r = h = 0
     for j in range(nblocks - 1, -1, -1):
-        reach[j] = reach[j + 1] | masks[j]
+        m = masks[j]
+        r |= m
+        if not m & h:
+            a, b, c = triples[j]
+            da, db, dc = deg[a], deg[b], deg[c]
+            if da >= db and da >= dc:
+                h |= 1 << a
+            elif db >= dc:
+                h |= 1 << b
+            else:
+                h |= 1 << c
+        reach[j] = r
+        hit[j] = h
     best = 0
     witness = ()
     nodes = 0
@@ -224,7 +306,9 @@ def max_packing(sys, budget=None):
                 best = len(chosen)
                 witness = tuple(chosen)
             return
-        if len(chosen) + (reach[j] & ~used).bit_count() // 3 <= best:
+        free = ~used
+        room = best - len(chosen)
+        if (hit[j] & free).bit_count() <= room or (reach[j] & free).bit_count() // 3 <= room:
             return
         chosen.append(j)
         rec(j + 1, used | masks[j])

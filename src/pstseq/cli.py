@@ -439,10 +439,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv):
+    # argparse reads a value that starts with "-" and is not a plain
+    # number as an option, so "--base -1,1,3" becomes "--base=-1,1,3".
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--base" and tok.startswith("-") and all(
+            map(_is_int_token, tok.split(","))
+        ):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_negative_values(sys.argv[1:] if argv is None else argv)
+        )
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_INPUT
         if code not in (0,):

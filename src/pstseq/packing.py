@@ -13,7 +13,7 @@ from .core import (
     _mask_of,
     partition_into_blocks,
 )
-from .errors import OrderTooSmall, PartContainsWholeBlock, WrongCardinality
+from .errors import InputError, OrderTooSmall, PartContainsWholeBlock, WrongCardinality
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,13 @@ def max_disjoint_blocks(system: TripleSystem, budget: Optional[int] = None) -> P
     """Exact maximum packing by branch-and-bound over canonical block order.
 
     Branches on the first block compatible with the partial packing
-    (include, then exclude) and bounds by the unused points that blocks
-    from the branch block on still reach, divided by 3.  With a budget
-    the search may stop early and the result is flagged inexact.
+    (include, then exclude).  Two bounds on the blocks from the branch
+    block on cut a node: the unused points they still reach, divided by
+    3, and the unused points of a greedy hitting set of them, since
+    disjoint blocks meet a hitting set in distinct points.  Neither cut
+    loses a strictly better packing, so ``nu`` and the witness are those
+    of the plain search and only ``nodes_explored`` falls.  With a
+    budget the search may stop early and the result is flagged inexact.
     A negative budget raises ``InputError``.
     """
     mod, handle = system._kernel
@@ -124,8 +128,16 @@ def is_good_set(
     """Whether no three disjoint blocks realize the complement of M.
 
     Returns (True, None) for a good set, else (False, realization).
+    An order below 9 raises OrderTooSmall, a point named twice in M
+    raises InputError.
     """
-    m_mask = _mask_of(points, system)
+    if system.n < 9:
+        raise OrderTooSmall(f"good sets need order >= 9, got {system.n}")
+    pts = list(points)
+    m_mask = _mask_of(pts, system)
+    if m_mask.bit_count() < len(pts):
+        twice = next(p for i, p in enumerate(pts) if p in pts[:i])
+        raise InputError(f"point {system.labels[twice]} appears twice in M")
     if m_mask.bit_count() != system.n - 9:
         raise WrongCardinality(
             f"expected |M| = {system.n - 9}, got {m_mask.bit_count()}"

@@ -310,7 +310,7 @@ def _construct_eleven(system: TripleSystem, witness) -> Sequence:
     good_b = {p for p in wpoints if good_for(b_pt, p)}
     common = sorted(good_a & good_b)
     if not common:
-        raise RuntimeError("internal error: no doubly good point among the block points")
+        return _eleven_search(system, witness, extras)
     nine = common[0]
     b3 = next(blk for blk in witness if nine in blk)
     others = [blk for blk in witness if blk is not b3]
@@ -336,7 +336,31 @@ def _construct_eleven(system: TripleSystem, witness) -> Sequence:
         order = [b_pt] + [trial[i] for i in pattern] + [a_pt, trial[9]]
         if is_admissible(order, system):
             return Sequence(tuple(order))
-    raise RuntimeError("internal error: order-11 relabeling rules did not converge")
+    return _eleven_search(system, witness, extras)
+
+
+def _eleven_search(system: TripleSystem, witness, extras) -> Sequence:
+    # The relabeling rules above miss some systems (random_system(11, 9,
+    # 383) is one), so search every labeling of the same positional
+    # pattern: both roles of the two extra points, any block point as 9,
+    # either order of the other two blocks and every order within blocks.
+    mod, handle = system._kernel
+    for a_pt, b_pt in itertools.permutations(extras):
+        for b3 in witness:
+            for nine in b3.points:
+                rest3 = [q for q in b3.points if q != nine]
+                others = [blk for blk in witness if blk is not b3]
+                for b1, b2 in itertools.permutations(others):
+                    for l1 in itertools.permutations(b1.points):
+                        for l2 in itertools.permutations(b2.points):
+                            for l7, l8 in itertools.permutations(rest3):
+                                order = [
+                                    b_pt, l1[0], l1[1], l2[0], l1[2], l2[1],
+                                    l7, l2[2], l8, a_pt, nine,
+                                ]
+                                if not mod.inadmissible_scan(handle, order, True):
+                                    return _verified(system, order, "three-block order-11")
+    raise RuntimeError("internal error: no labeling of the order-11 pattern is admissible")
 
 
 def pi_template_instantiate(system: TripleSystem, disjoint_blocks) -> Labeling:
@@ -421,7 +445,13 @@ def extend(
         raise ResidualNotAdmissible(
             "the residual sequence is inadmissible on the induced subsystem"
         )
-    placed = set(pts)
+    return _extend(system, entries)
+
+
+def _extend(system: TripleSystem, entries) -> Sequence:
+    # The body of ``extend`` for a residual sequence already known to be
+    # admissible on its induced subsystem.
+    placed = set(entries)
     rest = [p for p in system.points() if p not in placed]
     full = list(entries) + rest
     if not is_admissible(full, system):
@@ -439,10 +469,10 @@ def _construct_extend(system: TripleSystem, witness) -> Sequence:
     residual = wpts + pool[:3]
     sub, back = system.subsystem(residual)
     sub_blocks = tuple(Block(tuple(sorted(back[p] for p in blk))) for blk in witness)
+    # The template only returns a labeling admissible on ``sub``.
     labeling = pi_template_instantiate(sub, sub_blocks)
     fwd = {new: old for old, new in back.items()}
-    residual_seq = [fwd[e] for e in labeling.sequence.entries]
-    return extend(system, residual, residual_seq)
+    return _extend(system, [fwd[e] for e in labeling.sequence.entries])
 
 
 def interleave_large(system: TripleSystem, k: int) -> Sequence:

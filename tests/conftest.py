@@ -7,6 +7,7 @@ are always checked against something that shares none of their code.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -77,6 +78,27 @@ def padded(system: TripleSystem, new_order: int) -> TripleSystem:
     """Same blocks, extra isolated points up to the new order."""
     assert new_order >= system.n
     return validate_system(new_order, [b.points for b in system.blocks])
+
+
+def hub_system(n: int, k: int, seed: int) -> TripleSystem:
+    """k hub points meeting every block, plus k disjoint blocks through
+    them, so the packing number is exactly k.  Each hub also gets a
+    random matching of the other points as further blocks."""
+    assert n >= 3 * k
+    rng = random.Random(seed)
+    pts = list(range(n))
+    rng.shuffle(pts)
+    hubs, others = pts[:k], pts[k:]
+    blocks = [(h, others[2 * i], others[2 * i + 1]) for i, h in enumerate(hubs)]
+    pairs = {frozenset(pair) for blk in blocks for pair in itertools.combinations(blk, 2)}
+    for h in hubs:
+        rng.shuffle(others)
+        for a, b in zip(others[::2], others[1::2]):
+            new = [frozenset(pair) for pair in ((h, a), (h, b), (a, b))]
+            if not pairs.intersection(new):
+                pairs.update(new)
+                blocks.append((h, a, b))
+    return validate_system(n, blocks)
 
 
 # --------------------------------------------------------------------------

@@ -66,6 +66,18 @@ class TestValidateAndGen:
         assert code == 3 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["--base", "-6,-5,-3"],
+        ["--base=-6,-5,-3"],
+    ])
+    def test_gen_cyclic_negative_base(self, capsys, argv):
+        # -6,-5,-3 is 1,2,4 mod 7, spelled as a separate value or after "=".
+        code, out, err = run(capsys, "gen", "cyclic", "--n", "7", *argv)
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == "# gen cyclic --n 7 --base -6,-5,-3"
+        _, expected, _ = run(capsys, "gen", "cyclic", "--n", "7", "--base", "1,2,4")
+        assert out.splitlines()[1:] == expected.splitlines()[1:]
+
     def test_gen_random_deterministic(self, capsys):
         code, out1, _ = run(capsys, "gen", "random", "--n", "12", "--blocks", "4", "--seed", "7")
         code, out2, _ = run(capsys, "gen", "random", "--n", "12", "--blocks", "4", "--seed", "7")
@@ -202,6 +214,20 @@ class TestPackingCommands:
         assert code == 0 and "bad set" in out
         code, out, _ = run(capsys, "good-set", str(path), "--points", "0,10,11")
         assert code == 0 and "good set" in out
+
+    def test_good_set_order_too_small(self, capsys, tmp_path):
+        path = tmp_path / "eight.psts"
+        path.write_text("order 8\n0 1 2\n")
+        code, out, err = run(capsys, "good-set", str(path), "--points", "0")
+        assert code == 3 and out == ""
+        assert err == "error: good sets need order >= 9, got 8\n"
+
+    def test_good_set_repeated_point(self, capsys, tmp_path):
+        path = tmp_path / "eleven.psts"
+        path.write_text("order 11\n0 1 2\n3 4 5\n6 7 8\n")
+        code, out, err = run(capsys, "good-set", str(path), "--points", "9,9")
+        assert code == 3 and out == ""
+        assert err == "error: point 9 appears twice in M\n"
 
     def test_bound(self, capsys):
         code, out, _ = run(capsys, "bound", "10")

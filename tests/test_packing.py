@@ -21,7 +21,7 @@ from pstseq import (
     validate_system,
 )
 from pstseq.errors import InputError, OrderTooSmall, PartContainsWholeBlock, WrongCardinality
-from conftest import oracle_max_packing, oracle_partitions
+from conftest import hub_system, oracle_max_packing, oracle_partitions
 
 STS13 = cyclic_system(CyclicBase(13, ((0, 1, 4), (0, 2, 7))))
 
@@ -65,6 +65,27 @@ def _reach_bound(n, masks):
     return lambda j, used: bin(reach[j] & ~used).count("1") // 3
 
 
+def _hit_bound(n, masks):
+    """Unused points of a greedy hitting set of blocks j, j+1, ...
+
+    Built from the last block back: a block with no point in the set
+    adds its point lying in the most blocks, the least such point on a
+    tie.  Disjoint blocks meet the set in distinct points."""
+    blocks = [[p for p in range(n) if m >> p & 1] for m in masks]
+    degree = [sum(p in blk for blk in blocks) for p in range(n)]
+    hits = [set() for _ in range(len(blocks) + 1)]
+    for j in range(len(blocks) - 1, -1, -1):
+        hits[j] = set(hits[j + 1])
+        if not hits[j].intersection(blocks[j]):
+            hits[j].add(min(blocks[j], key=lambda p: (-degree[p], p)))
+    return lambda j, used: sum(not used >> p & 1 for p in hits[j])
+
+
+def _reach_and_hit_bound(n, masks):
+    reach, hit = _reach_bound(n, masks), _hit_bound(n, masks)
+    return lambda j, used: min(reach(j, used), hit(j, used))
+
+
 def _points_bound(n, masks):
     """All unused points / 3."""
     return lambda j, used: (n - bin(used).count("1")) // 3
@@ -77,6 +98,12 @@ def _packing_systems():
         for target in {bound, bound // 2}:
             systems += [random_system(n, target, seed) for seed in range(8)]
     return systems
+
+
+def _hub_systems():
+    """Packing number k forced by k hub points; the reach bound alone
+    explores thousands of nodes on these."""
+    return [hub_system(n, k, n) for k in (2, 3, 4) for n in range(13, 41)]
 
 
 class TestMaxDisjointBlocks:
@@ -108,12 +135,12 @@ class TestMaxDisjointBlocks:
 
     def test_matches_reference_branch_and_bound(self):
         budgeted = 0
-        for system in _packing_systems():
+        for system in _packing_systems() + _hub_systems():
             masks = [b.mask for b in system.blocks]
             for budget in (None, 1, 10, 100):
                 result = max_disjoint_blocks(system, budget=budget)
                 nu, ids, nodes, complete = _reference_packing(
-                    system.n, masks, budget, _reach_bound(system.n, masks)
+                    system.n, masks, budget, _reach_and_hit_bound(system.n, masks)
                 )
                 assert result.nu == nu
                 assert result.witness == tuple(system.blocks[i] for i in ids)
@@ -139,6 +166,27 @@ class TestMaxDisjointBlocks:
             for budget in (1, 10, 100):
                 got = max_disjoint_blocks(system, budget=budget).nu
                 old = _reference_packing(system.n, masks, budget, points)[0]
+                assert got >= old
+                raised += got > old
+        assert saved > 0 and raised > 0
+
+    def test_hit_bound_only_cuts_nodes(self):
+        # Against the reach bound alone: the same exact answer and
+        # witness in no more nodes, and under a budget a packing at
+        # least as large.
+        saved = raised = 0
+        for system in _packing_systems() + _hub_systems():
+            masks = [b.mask for b in system.blocks]
+            reach = _reach_bound(system.n, masks)
+            result = max_disjoint_blocks(system)
+            nu, ids, nodes, complete = _reference_packing(system.n, masks, None, reach)
+            assert (result.nu, result.exact) == (nu, complete) == (nu, True)
+            assert result.witness == tuple(system.blocks[i] for i in ids)
+            assert result.nodes_explored <= nodes
+            saved += nodes - result.nodes_explored
+            for budget in (1, 10, 100):
+                got = max_disjoint_blocks(system, budget=budget).nu
+                old = _reference_packing(system.n, masks, budget, reach)[0]
                 assert got >= old
                 raised += got > old
         assert saved > 0 and raised > 0
@@ -209,6 +257,17 @@ class TestIsGoodSet:
         system = validate_system(12, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
         with pytest.raises(WrongCardinality):
             is_good_set(system, [9, 10])
+
+    def test_order_too_small(self):
+        with pytest.raises(OrderTooSmall, match="good sets need order >= 9, got 8"):
+            is_good_set(validate_system(8, [[0, 1, 2]]), [])
+
+    def test_repeated_point_rejected(self):
+        system = validate_system(11, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
+        with pytest.raises(InputError, match="point 10 appears twice in M"):
+            is_good_set(system, [9, 10, 10])
+        with pytest.raises(InputError, match="point 9 appears twice in M"):
+            is_good_set(system, [9, 9])
 
     def test_agrees_with_bad_sets_enumeration(self, corpus_psts10):
         for system in corpus_psts10[:25]:

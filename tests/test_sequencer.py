@@ -1,5 +1,7 @@
 """Decision search, constructive routes, templates, and the certificate."""
 
+import hashlib
+
 import pytest
 
 from pstseq import (
@@ -25,9 +27,10 @@ from pstseq.errors import (
     BudgetExhausted,
     InputError,
     NoAdmissibleLabeling,
+    PstseqError,
     ResidualNotAdmissible,
 )
-from conftest import padded
+from conftest import hub_system, padded
 
 STS13 = cyclic_system(CyclicBase(13, ((0, 1, 4), (0, 2, 7))))
 FANO = cyclic_system(CyclicBase(7, ((0, 1, 3),)))
@@ -155,6 +158,14 @@ class TestConstructCorpus:
             decision = decide(system)
             assert decision.outcome is Outcome.SEQUENCEABLE
             assert is_admissible(decision.witness, system)
+            assert is_admissible(construct(system), system)
+
+    def test_order11_systems_the_relabeling_rules_miss(self):
+        # Order 11 with three disjoint blocks, where the fixed relabeling
+        # rules find no admissible order and the pattern search must.
+        for target, seed in ((9, 383), (10, 4041), (11, 3113), (12, 764), (17, 19)):
+            system = random_system(11, target, seed)
+            assert max_disjoint_blocks(system).nu == 3
             assert is_admissible(construct(system), system)
 
 
@@ -303,3 +314,29 @@ class TestSts13Certificate:
             perm = list(range(13))
             rng.shuffle(perm)
             assert not is_admissible(perm, STS13)
+
+
+def test_construct_outputs_are_pinned():
+    # A golden digest of construct over every route: random systems of
+    # orders 0-24 (nu <= 1, nu = 2, orders 9-12, extend, search), hub
+    # systems with nu = 3 at orders 13-40 (extend) and nu = 4 at orders
+    # 55-60 (interleave).  Any change to a returned sequence or to the
+    # error raised changes it.
+    systems = []
+    for n in range(25):
+        bound = johnson_schonheim(n)
+        for target in sorted({bound, bound // 2, bound // 4}):
+            systems += [random_system(n, target, seed) for seed in range(3)]
+    systems += [hub_system(n, 3, n) for n in range(13, 41)]
+    systems += [hub_system(n, 4, n) for n in range(55, 61)]
+    digest = hashlib.sha256()
+    for system in systems:
+        try:
+            got = construct(system, budget=500).entries
+        except PstseqError as exc:
+            got = type(exc).__name__
+        digest.update(f"{system.n} {system.block_masks} {got}\n".encode())
+    assert len(systems) == 235
+    assert digest.hexdigest() == (
+        "b4151178405d6ca301ba6c0e5085aaa50f93e84990d32b0a7af9ddf86cd1eaaf"
+    )
