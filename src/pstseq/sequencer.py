@@ -3,9 +3,15 @@
 ``decide`` is an exact depth-first search with a node budget.
 ``construct`` dispatches on the disjoint-block number: systems with at
 most three pairwise disjoint blocks always get a sequence built from
-the guaranteed labeling procedures (each output re-verified before it
+the paper's constructions (each output checked admissible before it
 is returned); larger packings fall back to the interleaving
 construction when the order allows, and to plain search otherwise.
+
+The paper's constructions lay the disjoint blocks and a few extra
+points into fixed positional patterns.  One search, ``_first_admissible``
+over the ``_PATTERNS`` table, serves two disjoint blocks, three at
+order 9, the order-11 fallback, order 12 and the extension to larger
+orders; orders 10 and 11 keep their relabeling rules first.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .errors import (
     CertificateFailure,
     NoAdmissibleLabeling,
     NotSequenceableSystem,
+    PointOutOfRange,
     RepairFailed,
     ResidualNotAdmissible,
     SequenceNotPermutation,
@@ -147,103 +154,79 @@ def _construct_nu_le1(system: TripleSystem) -> Sequence:
     extras = [p for p in system.points() if p not in b1]
     if not extras:
         return _verified(system, b1.points, "single-block construction")
-    others = [b for b in blocks[1:]]
-    if not others:
-        rest = [p for p in extras[1:]]
+    if len(blocks) == 1:
         return _verified(
-            system, [p1, p2, extras[0], p3, *rest], "one-block-with-extras construction"
+            system, [p1, p2, extras[0], p3, *extras[1:]], "one-block-with-extras construction"
         )
     # Some other block meets b1 in exactly one point; anchor on it.
-    b2 = others[0]
+    b2 = blocks[1]
     shared = [p for p in b2 if p in b1][0]
-    one = shared
     two, three = sorted(p for p in b1 if p != shared)
     a_pt, b_pt = sorted(p for p in b2 if p != shared)
     pool = [p for p in system.points() if p not in b1 and p not in (a_pt, b_pt)]
     if not pool:
         return _verified(
-            system, [one, two, a_pt, b_pt, three], "intersecting-blocks construction"
+            system, [shared, two, a_pt, b_pt, three], "intersecting-blocks construction"
         )
-    c_pt = pool[0]
-    rest = [p for p in pool[1:]]
     return _verified(
         system,
-        [one, c_pt, two, three, a_pt, b_pt, *rest],
+        [shared, pool[0], two, three, a_pt, b_pt, *pool[1:]],
         "intersecting-blocks construction",
     )
 
 
-def _label_search(system, candidates, context) -> Sequence:
-    """Return the first candidate entry list that checks out admissible."""
+#: Positional patterns of the paper's constructions, keyed by (packing
+#: number, order); the order-9 key of packing number 2 serves every
+#: order from 9 up.  Entry k names the label placed at position k:
+#: labels 0-2 are the first block in role order, 3-5 the second, then
+#: the third block's labels (packing number 3) and the extra points.
+_PATTERNS = {
+    (2, 6): (0, 1, 3, 4, 2, 5),
+    (2, 7): (0, 1, 3, 6, 4, 2, 5),
+    (2, 8): (0, 1, 3, 2, 6, 4, 5, 7),
+    (2, 9): (0, 1, 3, 2, 4, 6, 5, 7, 8),
+    (3, 9): (6, 7, 3, 8, 4, 0, 5, 1, 2),
+    (3, 11): (10, 0, 1, 3, 2, 4, 6, 5, 7, 9, 8),
+    (3, 12): (0, 1, 3, 2, 4, 6, 5, 7, 9, 8, 10, 11),
+}
+
+
+def _first_admissible(system, blocks, extras, pattern, tail=()) -> Optional[list[int]]:
+    """First labeling of ``pattern`` whose sequence is admissible.
+
+    Runs through the role orders of ``blocks``, then the labels within
+    each block and of ``extras`` (the last group fastest), places them
+    by ``pattern`` and appends ``tail``.  Returns the entries, or None
+    when no labeling is admissible.
+    """
     mod, handle = system._kernel
-    for entries in candidates:
-        if not mod.inadmissible_scan(handle, list(entries), True):
-            return Sequence(tuple(entries))
-    raise RuntimeError(f"internal error: no labeling worked for {context}")
+    tail = list(tail)
+    for roles in itertools.permutations(blocks):
+        groups = [itertools.permutations(blk.points) for blk in roles]
+        for labels in itertools.product(*groups, itertools.permutations(extras)):
+            flat = [p for group in labels for p in group]
+            entries = [flat[i] for i in pattern] + tail
+            if not mod.inadmissible_scan(handle, entries, True):
+                return entries
+    return None
+
+
+def _pattern_route(system, blocks, extras, key, tail=()) -> Sequence:
+    entries = _first_admissible(system, blocks, extras, _PATTERNS[key], tail)
+    if entries is None:
+        raise RuntimeError(
+            f"internal error: no labeling of the {key} pattern is admissible "
+            f"for order {system.n}"
+        )
+    return Sequence(tuple(entries))
 
 
 def _construct_nu2(system: TripleSystem, witness) -> Sequence:
-    w1, w2 = witness
-    n = system.n
-    if n == 6:
-        x1, x2, x3 = w1.points
-        y1, y2, y3 = w2.points
-        return _verified(system, [x1, x2, y1, y2, x3, y3], "two-block order-6")
-
-    def roles():
-        yield w1, w2
-        yield w2, w1
-
-    if n == 7:
-        extra = next(p for p in system.points() if p not in w1 and p not in w2)
-
-        def candidates7():
-            for b1, b2 in roles():
-                for l1 in itertools.permutations(b1.points):
-                    for l2 in itertools.permutations(b2.points):
-                        yield (l1[0], l1[1], l2[0], extra, l2[1], l1[2], l2[2])
-
-        return _label_search(system, candidates7(), "two-block order-7")
-    if n == 8:
-        extras = [p for p in system.points() if p not in w1 and p not in w2]
-
-        def candidates8():
-            for b1, b2 in roles():
-                for l1 in itertools.permutations(b1.points):
-                    for l2 in itertools.permutations(b2.points):
-                        for ea, eb in itertools.permutations(extras):
-                            yield (l1[0], l1[1], l2[0], l1[2], ea, l2[1], l2[2], eb)
-
-        return _label_search(system, candidates8(), "two-block order-8")
-
-    # n > 8: fix the three smallest outside points, search the labeling
-    # freedom the construction allows, append everything else in order.
-    outside = [p for p in system.points() if p not in w1 and p not in w2]
-    chosen = outside[:3]
-    rest = outside[3:]
-
-    def candidates_large():
-        for b1, b2 in roles():
-            for l1 in itertools.permutations(b1.points):
-                for l2 in itertools.permutations(b2.points):
-                    for la in itertools.permutations(chosen):
-                        yield (
-                            l1[0], l1[1], l2[0], l1[2], l2[1],
-                            la[0], l2[2], la[1], la[2], *rest,
-                        )
-
-    return _label_search(system, candidates_large(), "two-block general")
-
-
-def _construct_nine(system: TripleSystem, witness) -> Sequence:
-    assign = {}
-    for base, blk in zip((1, 4, 7), witness):
-        for off, p in enumerate(sorted(blk.points)):
-            assign[base + off] = p
-    if system.is_block((assign[3], assign[5], assign[7])):
-        assign[2], assign[3] = assign[3], assign[2]
-    order = [assign[i] for i in (1, 2, 4, 3, 5, 7, 6, 8, 9)]
-    return _verified(system, order, "three-block order-9")
+    # From order 9 on, the three least outside points take part in the
+    # pattern and the rest follow in canonical order.
+    outside = [p for p in system.points() if p not in witness[0] and p not in witness[1]]
+    key = (2, min(system.n, 9))
+    return _pattern_route(system, witness, outside[:3], key, outside[3:])
 
 
 def _bad_points(system: TripleSystem) -> set[int]:
@@ -310,7 +293,7 @@ def _construct_eleven(system: TripleSystem, witness) -> Sequence:
     good_b = {p for p in wpoints if good_for(b_pt, p)}
     common = sorted(good_a & good_b)
     if not common:
-        return _eleven_search(system, witness, extras)
+        return _pattern_route(system, witness, extras, (3, 11))
     nine = common[0]
     b3 = next(blk for blk in witness if nine in blk)
     others = [blk for blk in witness if blk is not b3]
@@ -336,31 +319,7 @@ def _construct_eleven(system: TripleSystem, witness) -> Sequence:
         order = [b_pt] + [trial[i] for i in pattern] + [a_pt, trial[9]]
         if is_admissible(order, system):
             return Sequence(tuple(order))
-    return _eleven_search(system, witness, extras)
-
-
-def _eleven_search(system: TripleSystem, witness, extras) -> Sequence:
-    # The relabeling rules above miss some systems (random_system(11, 9,
-    # 383) is one), so search every labeling of the same positional
-    # pattern: both roles of the two extra points, any block point as 9,
-    # either order of the other two blocks and every order within blocks.
-    mod, handle = system._kernel
-    for a_pt, b_pt in itertools.permutations(extras):
-        for b3 in witness:
-            for nine in b3.points:
-                rest3 = [q for q in b3.points if q != nine]
-                others = [blk for blk in witness if blk is not b3]
-                for b1, b2 in itertools.permutations(others):
-                    for l1 in itertools.permutations(b1.points):
-                        for l2 in itertools.permutations(b2.points):
-                            for l7, l8 in itertools.permutations(rest3):
-                                order = [
-                                    b_pt, l1[0], l1[1], l2[0], l1[2], l2[1],
-                                    l7, l2[2], l8, a_pt, nine,
-                                ]
-                                if not mod.inadmissible_scan(handle, order, True):
-                                    return _verified(system, order, "three-block order-11")
-    raise RuntimeError("internal error: no labeling of the order-11 pattern is admissible")
+    return _pattern_route(system, witness, extras, (3, 11))
 
 
 def pi_template_instantiate(system: TripleSystem, disjoint_blocks) -> Labeling:
@@ -387,33 +346,18 @@ def pi_template_instantiate(system: TripleSystem, disjoint_blocks) -> Labeling:
             raise ValueError("the given blocks are not pairwise disjoint")
         cover |= blk.mask
     extras = [p for p in system.points() if not (cover >> p) & 1]
-
-    mod, handle = system._kernel
-    for roles in itertools.permutations(d):
-        pts1, pts2, pts3 = (sorted(b.points) for b in roles)
-        for l1 in itertools.permutations(pts1):
-            for l2 in itertools.permutations(pts2):
-                for l3 in itertools.permutations(pts3):
-                    for ll in itertools.permutations(extras):
-                        entries = (
-                            l1[0], l1[1], l2[0], l1[2], l2[1], l3[0],
-                            l2[2], l3[1], ll[0], l3[2], ll[1], ll[2],
-                        )
-                        if not mod.inadmissible_scan(handle, list(entries), True):
-                            assignment = {
-                                "1": l1[0], "2": l1[1], "3": l1[2],
-                                "4": l2[0], "5": l2[1], "6": l2[2],
-                                "7": l3[0], "8": l3[1], "9": l3[2],
-                                "a": ll[0], "b": ll[1], "c": ll[2],
-                            }
-                            return Labeling(
-                                block_roles=roles,
-                                assignment=assignment,
-                                sequence=Sequence(entries),
-                            )
-    raise NoAdmissibleLabeling(
-        "no labeling of the 12-point pattern is admissible; either the system "
-        "has four disjoint blocks or this instance is a reportable defect"
+    pattern = _PATTERNS[3, 12]
+    entries = _first_admissible(system, d, extras, pattern)
+    if entries is None:
+        raise NoAdmissibleLabeling(
+            "no labeling of the 12-point pattern is admissible; either the system "
+            "has four disjoint blocks or this instance is a reportable defect"
+        )
+    labels = [entries[pattern.index(i)] for i in range(12)]
+    return Labeling(
+        block_roles=tuple(next(b for b in d if labels[i] in b) for i in (0, 3, 6)),
+        assignment=dict(zip("123456789abc", labels)),
+        sequence=Sequence(tuple(entries)),
     )
 
 
@@ -424,13 +368,18 @@ def extend(
 
     The residual must be three disjoint blocks plus three points,
     ordered by the positional template; the remaining points are
-    appended in canonical order and the result re-verified.
+    appended in canonical order and the result re-verified.  A residual
+    point outside ``range(system.n)`` raises ``PointOutOfRange``.
     """
     pts = sorted(set(residual_points))
     if len(pts) != 12:
         raise ValueError(f"residual must have 12 points, got {len(pts)}")
     if system.n < 13:
         raise ValueError(f"extension needs order >= 13, got {system.n}")
+    if pts[0] < 0 or pts[-1] >= system.n:
+        raise PointOutOfRange(
+            f"residual points must lie in 0..{system.n - 1}, got {pts[0]}..{pts[-1]}"
+        )
     entries = tuple(
         residual_sequence.entries
         if isinstance(residual_sequence, Sequence)
@@ -445,15 +394,8 @@ def extend(
         raise ResidualNotAdmissible(
             "the residual sequence is inadmissible on the induced subsystem"
         )
-    return _extend(system, entries)
-
-
-def _extend(system: TripleSystem, entries) -> Sequence:
-    # The body of ``extend`` for a residual sequence already known to be
-    # admissible on its induced subsystem.
     placed = set(entries)
-    rest = [p for p in system.points() if p not in placed]
-    full = list(entries) + rest
+    full = list(entries) + [p for p in system.points() if p not in placed]
     if not is_admissible(full, system):
         raise ValueError(
             "extension came out inadmissible; the residual sequence must "
@@ -463,16 +405,12 @@ def _extend(system: TripleSystem, entries) -> Sequence:
 
 
 def _construct_extend(system: TripleSystem, witness) -> Sequence:
-    wpts = sorted(p for blk in witness for p in blk)
-    wset = set(wpts)
+    # The order-12 pattern on the witness and the three least other
+    # points, with the rest appended in canonical order: the paper's
+    # extension, searched on the whole system.
+    wset = {p for blk in witness for p in blk}
     pool = [p for p in system.points() if p not in wset]
-    residual = wpts + pool[:3]
-    sub, back = system.subsystem(residual)
-    sub_blocks = tuple(Block(tuple(sorted(back[p] for p in blk))) for blk in witness)
-    # The template only returns a labeling admissible on ``sub``.
-    labeling = pi_template_instantiate(sub, sub_blocks)
-    fwd = {new: old for old, new in back.items()}
-    return _extend(system, [fwd[e] for e in labeling.sequence.entries])
+    return _pattern_route(system, witness, pool[:3], (3, 12), pool[3:])
 
 
 def interleave_large(system: TripleSystem, k: int) -> Sequence:
@@ -551,7 +489,6 @@ def _repair_three_segments(system, entries, u_set):
             raise RuntimeError(
                 "internal error: a block segment without exactly one packing point"
             )
-        q = pos + in_u[0]
         if in_u[0] == 0:
             swaps = [(pos + 2, pos + 3), (pos - 1, pos + 1)]
         elif in_u[0] == 1:
@@ -577,11 +514,11 @@ def _repair_three_segments(system, entries, u_set):
 def construct(system: TripleSystem, budget: Optional[int] = DEFAULT_BUDGET) -> Sequence:
     """Build an admissible sequence, choosing the proof-backed route.
 
-    Dispatches on the exact disjoint-block number: the labeling recipes
-    for at most two disjoint blocks, the per-order procedures and the
-    positional-template search for three, the interleaving construction
-    for large sparse systems, and exhaustive search as a last resort,
-    within ``budget`` nodes.  Every returned sequence has passed the
+    Dispatches on the exact disjoint-block number: direct recipes for
+    at most one disjoint block, the positional-pattern search for two,
+    the pattern search and the order-10 and order-11 relabeling rules
+    for three, the interleaving construction for large sparse systems,
+    and exhaustive search as a last resort, within ``budget`` nodes.  Every returned sequence has passed the
     admissibility checker.
     """
     _checked_budget(budget)
@@ -594,14 +531,15 @@ def construct(system: TripleSystem, budget: Optional[int] = DEFAULT_BUDGET) -> S
     if nu == 3:
         n = system.n
         if n == 9:
-            return _construct_nine(system, result.witness)
+            # Roles reversed, the first two labelings are the paper's
+            # and its 2<->3 swap.
+            return _pattern_route(system, result.witness[::-1], (), (3, 9))
         if n == 10:
             return _construct_ten(system, result.witness)
         if n == 11:
             return _construct_eleven(system, result.witness)
         if n == 12:
-            labeling = pi_template_instantiate(system, result.witness)
-            return _verified(system, labeling.sequence.entries, "order-12 template")
+            return pi_template_instantiate(system, result.witness).sequence
         return _construct_extend(system, result.witness)
     if system.n >= 15 * nu - 5:
         return _interleave(system, result)

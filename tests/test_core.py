@@ -10,8 +10,6 @@ from pstseq import (
     Block,
     CyclicBase,
     Sequence,
-    TripleSystem,
-    construct,
     cyclic_system,
     formats,
     inadmissible_segments,
@@ -205,20 +203,16 @@ class TestBuildPath:
         _assert_built_like_reference(cyclic_system(CyclicBase(n, bases)), n, rows,
                                      tuple(map(str, range(n))))
 
-    def test_subsystems_of_the_extend_route(self, corpus_nu_le3, monkeypatch):
+    def test_subsystems_of_the_extend_route(self, corpus_nu_le3):
+        # The residual point sets of the paper's extension: the points of
+        # three disjoint blocks plus the three least other points.
         calls = []
-        subsystem = TripleSystem.subsystem
-
-        def recording(self, points):
-            points = list(points)
-            result = subsystem(self, points)
-            calls.append((self, points, result))
-            return result
-
-        monkeypatch.setattr(TripleSystem, "subsystem", recording)
         for system in corpus_nu_le3:
-            if system.n >= 13 and max_disjoint_blocks(system).nu == 3:
-                construct(system)
+            result = max_disjoint_blocks(system)
+            if system.n >= 13 and result.nu == 3:
+                wpts = sorted(p for blk in result.witness for p in blk.points)
+                points = wpts + [p for p in range(system.n) if p not in wpts][:3]
+                calls.append((system, points, system.subsystem(points)))
         assert len(calls) > 100
         for system, points, (sub, back) in calls:
             pts = sorted(set(points))

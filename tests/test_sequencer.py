@@ -27,6 +27,7 @@ from pstseq.errors import (
     BudgetExhausted,
     InputError,
     NoAdmissibleLabeling,
+    PointOutOfRange,
     PstseqError,
     ResidualNotAdmissible,
 )
@@ -163,10 +164,38 @@ class TestConstructCorpus:
     def test_order11_systems_the_relabeling_rules_miss(self):
         # Order 11 with three disjoint blocks, where the fixed relabeling
         # rules find no admissible order and the pattern search must.
+        # Its pattern puts the blocks at positions {1, 2, 4}, {3, 5, 7}
+        # and {6, 8, 10} in some role order, the extra points at 0 and 9.
         for target, seed in ((9, 383), (10, 4041), (11, 3113), (12, 764), (17, 19)):
             system = random_system(11, target, seed)
-            assert max_disjoint_blocks(system).nu == 3
-            assert is_admissible(construct(system), system)
+            result = max_disjoint_blocks(system)
+            assert result.nu == 3
+            seq = construct(system)
+            assert is_admissible(seq, system)
+            e = seq.entries
+            placed = {frozenset(e[i] for i in pos) for pos in ((1, 2, 4), (3, 5, 7), (6, 8, 10))}
+            assert placed == {frozenset(blk.points) for blk in result.witness}
+            assert {e[0], e[9]} == set(range(11)) - {p for blk in result.witness for p in blk}
+
+    def test_order9_is_the_paper_labeling(self):
+        # The paper's order-9 recipe, computed here: the sorted witness
+        # blocks labelled 1-9, with 2 and 3 swapped when {3, 5, 7} is a
+        # block, laid out as 1 2 4 3 5 7 6 8 9.
+        checked = 0
+        for target in range(3, 13):
+            for seed in range(50):
+                system = random_system(9, target, seed)
+                result = max_disjoint_blocks(system)
+                if result.nu != 3:
+                    continue
+                label = [None] + [p for blk in sorted(b.points for b in result.witness)
+                                  for p in blk]
+                if system.is_block((label[3], label[5], label[7])):
+                    label[2], label[3] = label[3], label[2]
+                expected = tuple(label[i] for i in (1, 2, 4, 3, 5, 7, 6, 8, 9))
+                assert construct(system).entries == expected
+                checked += 1
+        assert checked == 65
 
 
 class TestPiTemplate:
@@ -254,6 +283,13 @@ class TestExtend:
         residual = wpts + pool[:3]
         with pytest.raises(ResidualNotAdmissible):
             extend(system, residual, sorted(residual))
+
+    def test_residual_points_out_of_range_rejected(self):
+        system = friendship_chain([2, 2, 2])
+        assert system.n == 13
+        for residual in ([-1, *range(11)], [*range(11), 16]):
+            with pytest.raises(PointOutOfRange):
+                extend(system, residual, residual)
 
 
 class TestInterleave:
