@@ -16,11 +16,11 @@ from __future__ import annotations
 class PySystem:
     __slots__ = ("n", "masks", "lead", "triples")
 
-    def __init__(self, n, masks, lead):
+    def __init__(self, n, masks, lead, triples):
         self.n = n
         self.masks = masks
         self.lead = lead
-        self.triples = None
+        self.triples = triples
 
 
 def prepare(n, masks):
@@ -28,51 +28,32 @@ def prepare(n, masks):
 
     ``lead[p]`` lists the ``(mask, id)`` pairs of the blocks whose least
     point is ``p``, in canonical order: the only blocks that can cover
-    ``p`` inside a point set whose least point is ``p``.
+    ``p`` inside a point set whose least point is ``p``.  ``triples``
+    holds each block's points in ascending order, for the scan and the
+    packing search.
     """
     lead = [[] for _ in range(n)]
+    triples = []
     for bid, m in enumerate(masks):
-        lead[(m & -m).bit_length() - 1].append((m, bid))
-    return PySystem(n, tuple(masks), tuple(tuple(b) for b in lead))
+        a = (m & -m).bit_length() - 1
+        c = m.bit_length() - 1
+        lead[a].append((m, bid))
+        triples.append((a, (m ^ (1 << a | 1 << c)).bit_length() - 1, c))
+    return PySystem(n, tuple(masks), tuple(tuple(b) for b in lead), tuple(triples))
 
 
-def _triples(sys):
-    # Each block's points in ascending order, built on first use and
-    # kept on the handle: only the scan and the packing search need them.
-    triples = sys.triples
-    if triples is None:
-        triples = []
-        for m in sys.masks:
-            a = (m & -m).bit_length() - 1
-            c = m.bit_length() - 1
-            triples.append((a, (m ^ (1 << a | 1 << c)).bit_length() - 1, c))
-        sys.triples = triples
-    return triples
-
-
-def _search_partition(sys, target, parts):
-    # Branch on the least-index uncovered point p, blocks in canonical
-    # order.  A block holding a point below p cannot lie inside target,
-    # so only the blocks led by p are tried.
+def _split(sys, target, parts=None):
+    # Whether ``target`` splits into disjoint blocks.  Branches on the
+    # least-index uncovered point p, blocks in canonical order: a block
+    # holding a point below p cannot lie inside target, so only the
+    # blocks led by p are tried.  With ``parts`` given, the ids of the
+    # blocks found are appended on the way back, last block first.
     if target == 0:
         return True
-    p = (target & -target).bit_length() - 1
-    for m, bid in sys.lead[p]:
-        if m & target == m:
-            parts.append(bid)
-            if _search_partition(sys, target & ~m, parts):
-                return True
-            parts.pop()
-    return False
-
-
-def _fits(sys, target):
-    # ``_search_partition`` without the parts list: whether ``target``
-    # splits into disjoint blocks.
-    if target == 0:
-        return True
-    for m, _ in sys.lead[(target & -target).bit_length() - 1]:
-        if m & target == m and _fits(sys, target ^ m):
+    for m, bid in sys.lead[(target & -target).bit_length() - 1]:
+        if m & target == m and _split(sys, target ^ m, parts):
+            if parts is not None:
+                parts.append(bid)
             return True
     return False
 
@@ -82,15 +63,15 @@ def find_partition(sys, mask):
     if mask.bit_count() % 3:
         return None
     parts = []
-    if _search_partition(sys, mask, parts):
-        return tuple(parts)
+    if _split(sys, mask, parts):
+        return tuple(reversed(parts))
     return None
 
 
 def can_partition(sys, mask):
     """Whether ``mask`` splits into disjoint blocks, by the same
     least-point branching as ``find_partition`` but with no parts kept."""
-    return mask.bit_count() % 3 == 0 and _fits(sys, mask)
+    return mask.bit_count() % 3 == 0 and _split(sys, mask)
 
 
 def inadmissible_scan(sys, entries, stop_first=False):
@@ -106,9 +87,9 @@ def inadmissible_scan(sys, entries, stop_first=False):
     and some block spanning to e starts at or after s
     (``last_start[e] >= s``).  The filter skips only segments that
     cannot split, so the hits and their order are those of the full
-    scan.  A segment that passes is tested by ``_fits``, and only one
-    that splits goes to ``find_partition`` for its parts; the scan never
-    calls ``can_partition``.
+    scan.  A segment that passes is tested by ``_split`` with no parts
+    kept, and only one that splits goes to ``find_partition`` for its
+    parts; the scan never calls ``can_partition``.
     """
     n = sys.n
     pos = [0] * n
@@ -118,7 +99,7 @@ def inadmissible_scan(sys, entries, stop_first=False):
         pm[i + 1] = pm[i] | (1 << e)
     first_end = [n] * n
     last_start = [-1] * n
-    for a, b, c in _triples(sys):
+    for a, b, c in sys.triples:
         x = pos[a]
         y = pos[b]
         z = pos[c]
@@ -138,7 +119,7 @@ def inadmissible_scan(sys, entries, stop_first=False):
             end = start + length - 1
             if first_end[start] <= end and last_start[end] >= start:
                 mask = pm[end + 1] ^ pm[start]
-                if _fits(sys, mask):
+                if _split(sys, mask):
                     out.append((start, length, find_partition(sys, mask)))
                     if stop_first:
                         return out
@@ -260,7 +241,7 @@ def max_packing(sys, budget=None):
     against an independent reference copy of these bounds.
     """
     masks = sys.masks
-    triples = _triples(sys)
+    triples = sys.triples
     nblocks = len(masks)
     deg = [0] * sys.n
     for a, b, c in triples:

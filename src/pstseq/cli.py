@@ -271,7 +271,10 @@ def cmd_bad_sets(args, report: _Report) -> int:
 def cmd_good_set(args, report: _Report) -> int:
     system = formats.load_system(args.file)
     report.data["input"] = _input_info(args.file, system)
-    pts = [system.index_of(tok) for tok in args.points.split(",") if tok]
+    tokens = args.points.split(",") if args.points else []
+    if not all(tokens):
+        raise InputError(f"--points must be comma-separated labels, none empty: {args.points!r}")
+    pts = [system.index_of(tok) for tok in tokens]
     good, witness = packing.is_good_set(system, pts)
     report.data["outcome"] = "good" if good else "bad"
     if witness is not None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from . import kernels
+from . import _pykernels
 from .errors import (
     InputError,
     PairInTwoBlocks,
@@ -82,7 +82,6 @@ class Segment:
 
     start: int
     length: int
-    proper: bool
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ class TripleSystem:
             masks.append(1 << a | 1 << b | 1 << c)
         self.pair_index: Mapping[tuple[int, int], Block] = pair_index
         self.block_masks = tuple(masks)
-        self._kernel = kernels.prepare(n, self.block_masks)
+        self._kernel = _pykernels.prepare(n, self.block_masks)
         self._label_to_index = {lab: i for i, lab in enumerate(labels)}
 
     def _pair_repr(self, pair):
@@ -327,7 +326,11 @@ def _checked_permutation(seq, system: TripleSystem) -> tuple[int, ...]:
 
 
 def _checked_budget(budget: Optional[int]) -> Optional[int]:
-    if budget is not None and budget < 0:
+    if budget is None:
+        return None
+    if type(budget) is bool or not isinstance(budget, int):
+        raise InputError(f"node budget must be an integer or None, got {budget!r}")
+    if budget < 0:
         raise InputError(f"node budget must be non-negative, got {budget}")
     return budget
 
@@ -351,8 +354,7 @@ def partition_into_blocks(
     an error.
     """
     mask = _mask_of(point_set, system)
-    mod, handle = system._kernel
-    ids = mod.find_partition(handle, mask)
+    ids = _pykernels.find_partition(system._kernel, mask)
     if ids is None:
         return None
     return _checked_witness(tuple(system.blocks[i] for i in ids), mask)
@@ -368,20 +370,18 @@ def inadmissible_segments(
     sequence is admissible.
     """
     entries = _checked_permutation(seq, system)
-    mod, handle = system._kernel
-    hits = mod.inadmissible_scan(handle, list(entries), False)
+    hits = _pykernels.inadmissible_scan(system._kernel, list(entries), False)
     out = []
     for start, length, ids in hits:
         seg_mask = 0
         for p in entries[start : start + length]:
             seg_mask |= 1 << p
         witness = _checked_witness(tuple(system.blocks[i] for i in ids), seg_mask)
-        out.append((Segment(start, length, 0 < length < system.n), witness))
+        out.append((Segment(start, length), witness))
     return out
 
 
 def is_admissible(seq, system: TripleSystem) -> bool:
     """True when no proper segment partitions into disjoint blocks."""
     entries = _checked_permutation(seq, system)
-    mod, handle = system._kernel
-    return not mod.inadmissible_scan(handle, list(entries), True)
+    return not _pykernels.inadmissible_scan(system._kernel, list(entries), True)

@@ -1,8 +1,10 @@
-"""The seam between the search code and its kernels.
+"""The benchmark's hook into the kernels.
 
-A handle is the pair (kernel module, system object built by its
-``prepare``); callers dispatch through the module.  The kernels live in
-``pstseq._pykernels``.
+``prepare`` returns the pair (kernel module, handle) and
+``backend_name`` names the one backend; ``perfbench`` reads both.  The
+program itself calls ``pstseq._pykernels`` directly on
+``TripleSystem._kernel``.  This module goes once the benchmark reads
+the kernel module directly.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from . import _pykernels
 from .core import (
     Block,
     PartitionWitness,
@@ -65,10 +66,9 @@ def max_disjoint_blocks(system: TripleSystem, budget: Optional[int] = None) -> P
     loses a strictly better packing, so ``nu`` and the witness are those
     of the plain search and only ``nodes_explored`` falls.  With a
     budget the search may stop early and the result is flagged inexact.
-    A negative budget raises ``InputError``.
+    A budget other than None or a non-negative int raises ``InputError``.
     """
-    mod, handle = system._kernel
-    nu, ids, nodes, complete = mod.max_packing(handle, _checked_budget(budget))
+    nu, ids, nodes, complete = _pykernels.max_packing(system._kernel, _checked_budget(budget))
     return PackingResult(
         nu=nu,
         witness=tuple(system.blocks[i] for i in ids),

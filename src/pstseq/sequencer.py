@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
+from . import _pykernels
 from .core import (
     Block,
     Sequence,
@@ -127,11 +128,10 @@ def decide(
     prefix gives Sequenceable, an exhausted tree gives NotSequenceable,
     a spent budget gives Unknown.  ``exhaust`` keeps
     walking after the first witness so the full tree gets counted.
-    A negative budget raises ``InputError``.
+    A budget other than None or a non-negative int raises ``InputError``.
     """
     _checked_budget(budget)
-    mod, handle = system._kernel
-    witness, nodes, exhausted = mod.decide_search(handle, budget, exhaust)
+    witness, nodes, exhausted = _pykernels.decide_search(system._kernel, budget, exhaust)
     if witness is not None:
         seq = _verified(system, witness, "decide")
         return Decision(Outcome.SEQUENCEABLE, seq, nodes, exhausted, nodes)
@@ -191,42 +191,38 @@ _PATTERNS = {
 }
 
 
-def _first_admissible(system, blocks, extras, pattern, tail=()) -> Optional[list[int]]:
+def _first_admissible(system, blocks, pattern) -> Optional[list[int]]:
     """First labeling of ``pattern`` whose sequence is admissible.
 
-    Runs through the role orders of ``blocks``, then the labels within
-    each block and of ``extras`` (the last group fastest), places them
-    by ``pattern`` and appends ``tail``.  Returns the entries, or None
-    when no labeling is admissible.
+    The points outside ``blocks`` are taken in canonical order: the
+    first ``len(pattern) - 3 * len(blocks)`` are the pattern's extra
+    labels and the rest are appended after it.  Runs through the role
+    orders of ``blocks``, then the labels within each block and of the
+    extra points (the last group fastest), places them by ``pattern``
+    and appends the rest.  Returns the entries, or None when no
+    labeling is admissible.
     """
-    mod, handle = system._kernel
-    tail = list(tail)
+    outside = [p for p in system.points() if not any(p in blk for blk in blocks)]
+    k = len(pattern) - 3 * len(blocks)
+    extras, tail = outside[:k], outside[k:]
     for roles in itertools.permutations(blocks):
         groups = [itertools.permutations(blk.points) for blk in roles]
         for labels in itertools.product(*groups, itertools.permutations(extras)):
             flat = [p for group in labels for p in group]
             entries = [flat[i] for i in pattern] + tail
-            if not mod.inadmissible_scan(handle, entries, True):
+            if not _pykernels.inadmissible_scan(system._kernel, entries, True):
                 return entries
     return None
 
 
-def _pattern_route(system, blocks, extras, key, tail=()) -> Sequence:
-    entries = _first_admissible(system, blocks, extras, _PATTERNS[key], tail)
+def _pattern_route(system, blocks, key) -> Sequence:
+    entries = _first_admissible(system, blocks, _PATTERNS[key])
     if entries is None:
         raise RuntimeError(
             f"internal error: no labeling of the {key} pattern is admissible "
             f"for order {system.n}"
         )
     return Sequence(tuple(entries))
-
-
-def _construct_nu2(system: TripleSystem, witness) -> Sequence:
-    # From order 9 on, the three least outside points take part in the
-    # pattern and the rest follow in canonical order.
-    outside = [p for p in system.points() if p not in witness[0] and p not in witness[1]]
-    key = (2, min(system.n, 9))
-    return _pattern_route(system, witness, outside[:3], key, outside[3:])
 
 
 def _bad_points(system: TripleSystem) -> set[int]:
@@ -293,7 +289,7 @@ def _construct_eleven(system: TripleSystem, witness) -> Sequence:
     good_b = {p for p in wpoints if good_for(b_pt, p)}
     common = sorted(good_a & good_b)
     if not common:
-        return _pattern_route(system, witness, extras, (3, 11))
+        return _pattern_route(system, witness, (3, 11))
     nine = common[0]
     b3 = next(blk for blk in witness if nine in blk)
     others = [blk for blk in witness if blk is not b3]
@@ -319,7 +315,7 @@ def _construct_eleven(system: TripleSystem, witness) -> Sequence:
         order = [b_pt] + [trial[i] for i in pattern] + [a_pt, trial[9]]
         if is_admissible(order, system):
             return Sequence(tuple(order))
-    return _pattern_route(system, witness, extras, (3, 11))
+    return _pattern_route(system, witness, (3, 11))
 
 
 def pi_template_instantiate(system: TripleSystem, disjoint_blocks) -> Labeling:
@@ -345,9 +341,8 @@ def pi_template_instantiate(system: TripleSystem, disjoint_blocks) -> Labeling:
         if cover & blk.mask:
             raise ValueError("the given blocks are not pairwise disjoint")
         cover |= blk.mask
-    extras = [p for p in system.points() if not (cover >> p) & 1]
     pattern = _PATTERNS[3, 12]
-    entries = _first_admissible(system, d, extras, pattern)
+    entries = _first_admissible(system, d, pattern)
     if entries is None:
         raise NoAdmissibleLabeling(
             "no labeling of the 12-point pattern is admissible; either the system "
@@ -404,15 +399,6 @@ def extend(
     return Sequence(tuple(full))
 
 
-def _construct_extend(system: TripleSystem, witness) -> Sequence:
-    # The order-12 pattern on the witness and the three least other
-    # points, with the rest appended in canonical order: the paper's
-    # extension, searched on the whole system.
-    wset = {p for blk in witness for p in blk}
-    pool = [p for p in system.points() if p not in wset]
-    return _pattern_route(system, witness, pool[:3], (3, 12), pool[3:])
-
-
 def interleave_large(system: TripleSystem, k: int) -> Sequence:
     """Thread a maximum packing through the other points, then repair.
 
@@ -423,6 +409,8 @@ def interleave_large(system: TripleSystem, k: int) -> Sequence:
     swapping an adjacent outside point, retrying with reseeded outside
     orders until the verifier passes or the attempt budget runs out.
     """
+    if k < 1:
+        raise ValueError(f"interleaving needs packing number >= 1, got {k}")
     result = max_disjoint_blocks(system)
     if result.nu != k:
         raise ValueError(f"system has packing number {result.nu}, not {k}")
@@ -527,20 +515,22 @@ def construct(system: TripleSystem, budget: Optional[int] = DEFAULT_BUDGET) -> S
     if nu <= 1:
         return _construct_nu_le1(system)
     if nu == 2:
-        return _construct_nu2(system, result.witness)
+        # From order 9 on, the pattern takes three outside points.
+        return _pattern_route(system, result.witness, (2, min(system.n, 9)))
     if nu == 3:
         n = system.n
         if n == 9:
             # Roles reversed, the first two labelings are the paper's
             # and its 2<->3 swap.
-            return _pattern_route(system, result.witness[::-1], (), (3, 9))
+            return _pattern_route(system, result.witness[::-1], (3, 9))
         if n == 10:
             return _construct_ten(system, result.witness)
         if n == 11:
             return _construct_eleven(system, result.witness)
         if n == 12:
             return pi_template_instantiate(system, result.witness).sequence
-        return _construct_extend(system, result.witness)
+        # The paper's extension, searched on the whole system.
+        return _pattern_route(system, result.witness, (3, 12))
     if system.n >= 15 * nu - 5:
         return _interleave(system, result)
     decision = decide(system, budget=budget)

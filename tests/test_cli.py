@@ -222,6 +222,16 @@ class TestPackingCommands:
         assert code == 3 and out == ""
         assert err == "error: good sets need order >= 9, got 8\n"
 
+    def test_good_set_empty_label(self, capsys, tmp_path):
+        path = tmp_path / "twelve.psts"
+        path.write_text("order 12\n0 1 2\n3 4 5\n6 7 8\n")
+        for points in ("9,,10,11", "9,10,11,", ","):
+            code, out, err = run(capsys, "good-set", str(path), "--points", points)
+            assert code == 3 and out == ""
+            assert err == (
+                f"error: --points must be comma-separated labels, none empty: {points!r}\n"
+            )
+
     def test_good_set_repeated_point(self, capsys, tmp_path):
         path = tmp_path / "eleven.psts"
         path.write_text("order 11\n0 1 2\n3 4 5\n6 7 8\n")

@@ -10,6 +10,7 @@ from pstseq import (
     Block,
     CyclicBase,
     Sequence,
+    _pykernels,
     cyclic_system,
     formats,
     inadmissible_segments,
@@ -133,11 +134,13 @@ def _reference_fields(n, index_rows, labels):
         tuple((m, i) for i, (m, blk) in enumerate(zip(masks, blocks)) if blk.points[0] == p)
         for p in range(n)
     )
-    return blocks, labels, pair_index, masks, masks, lead
+    triples = tuple(blk.points for blk in blocks)
+    return blocks, labels, pair_index, masks, masks, lead, triples
 
 
 def _fields(system):
-    handle = system._kernel[1]
+    handle = system._kernel
+    assert type(handle) is _pykernels.PySystem
     return (
         system.blocks,
         system.labels,
@@ -145,6 +148,7 @@ def _fields(system):
         system.block_masks,
         handle.masks,
         handle.lead,
+        handle.triples,
     )
 
 
@@ -297,7 +301,7 @@ class TestInadmissibleSegments:
         hits = inadmissible_segments([1, 2, 3, 0], system)
         assert len(hits) == 1
         seg, witness = hits[0]
-        assert (seg.start, seg.length, seg.proper) == (0, 3, True)
+        assert (seg.start, seg.length) == (0, 3)
         assert [b.points for b in witness.parts] == [(1, 2, 3)]
 
     def test_three_block_admissible_order(self):

@@ -27,14 +27,18 @@ def test_pure_supports_arbitrary_order():
 
 
 def test_pure_partition_matches_subset_oracle():
+    # Existence against the subset oracle, and the ids and their order
+    # against the least-point-first reference search.
     for seed in range(5):
         system = random_system(9, 5, seed)
         handle = pure.prepare(system.n, system.block_masks)
+        partition = _all_blocks_partitioner(system.n, system.block_masks)
         for size in (3, 6, 9):
             for combo in itertools.combinations(range(9), size):
                 mask = sum(1 << p for p in combo)
-                got = pure.find_partition(handle, mask) is not None
-                assert got == oracle_has_partition_subsets(system, combo)
+                got = pure.find_partition(handle, mask)
+                assert got == partition(mask)
+                assert (got is not None) == oracle_has_partition_subsets(system, combo)
 
 
 def _all_blocks_partitioner(n, masks):

@@ -205,6 +205,11 @@ class TestMaxDisjointBlocks:
         with pytest.raises(InputError):
             max_disjoint_blocks(random_system(9, 6, 3), budget=-1)
 
+    @pytest.mark.parametrize("budget", [2.5, True, "3"])
+    def test_non_integer_budget_rejected(self, budget):
+        with pytest.raises(InputError, match="integer"):
+            max_disjoint_blocks(random_system(9, 6, 3), budget=budget)
+
 
 class TestBadSets:
     def test_order9_with_full_partition(self):

@@ -80,6 +80,11 @@ class TestDecide:
         with pytest.raises(InputError):
             decide(random_system(9, 6, 3), budget=-1)
 
+    @pytest.mark.parametrize("budget", [2.5, 3.0, True, False, "3"])
+    def test_non_integer_budget_rejected(self, budget):
+        with pytest.raises(InputError, match="integer"):
+            decide(validate_system(6, [[0, 1, 2]]), budget=budget)
+
     def test_three_disjoint_blocks_order9(self):
         system = validate_system(9, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
         decision = decide(system)
@@ -99,6 +104,9 @@ class TestConstructSmall:
             construct(system, budget=10)
         with pytest.raises(InputError):
             construct(system, budget=-1)
+        for budget in (10.5, True, "10"):
+            with pytest.raises(InputError, match="integer"):
+                construct(system, budget=budget)
 
     def test_single_block_order4_pattern(self):
         system = validate_system(4, [[0, 1, 2]])
@@ -313,6 +321,11 @@ class TestInterleave:
         system = friendship(8)
         with pytest.raises(ValueError):
             interleave_large(system, 2)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_packing_number_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="packing number >= 1"):
+            interleave_large(validate_system(5, []), k)
 
     def test_construct_dispatches_to_interleave(self):
         system = padded(friendship_chain([2, 2, 2, 2]), 55)
