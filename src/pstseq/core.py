@@ -111,39 +111,66 @@ def _checked_witness(parts: tuple[Block, ...], expected_mask: int) -> PartitionW
     return PartitionWitness(parts)
 
 
+def _pair_map(blocks) -> dict[tuple[int, int], Block]:
+    """Each pair of each block mapped to the block, for pair-disjoint blocks."""
+    pairs = {}
+    for blk in blocks:
+        a, b, c = blk.points
+        pairs[a, b] = pairs[a, c] = pairs[b, c] = blk
+    return pairs
+
+
 class TripleSystem:
     """Validated point set plus edge-disjoint block family.
 
     ``labels`` maps dense indices 0..n-1 back to the input tokens;
-    ``pair_index`` maps each covered unordered pair to its unique block;
-    ``block_masks`` holds each block's points as a bitmask.  Both are
-    built in one pass over the blocks, which raises PairInTwoBlocks,
-    naming both blocks, at the first pair covered twice.
+    ``block_masks`` holds each block's points as a bitmask;
+    ``pair_index`` maps each covered unordered pair to its unique block.
+    The constructor checks the pairs with one adjacency bitmask per
+    point and raises PairInTwoBlocks, naming both blocks, at the first
+    pair covered twice.  ``pair_index`` is built on first use: only the
+    pair lookups ``block_of_pair`` and ``is_block`` read it.
     """
 
-    __slots__ = ("n", "blocks", "labels", "pair_index", "block_masks", "_kernel", "_label_to_index")
+    __slots__ = ("n", "blocks", "labels", "block_masks", "_pair_index", "_kernel", "_label_to_index")
 
     def __init__(self, n: int, blocks: tuple[Block, ...], labels: tuple[str, ...]):
         self.n = n
         self.blocks = blocks
         self.labels = labels
-        pair_index: dict[tuple[int, int], Block] = {}
+        adj = [0] * n
         masks = []
-        for blk in blocks:
+        for i, blk in enumerate(blocks):
             a, b, c = blk.points
-            ab, ac, bc = (a, b), (a, c), (b, c)
-            if ab in pair_index or ac in pair_index or bc in pair_index:
-                pair = ab if ab in pair_index else ac if ac in pair_index else bc
-                raise PairInTwoBlocks(
-                    f"pair {self._pair_repr(pair)} lies in two blocks: "
-                    f"{self.block_labels(pair_index[pair])} and {self.block_labels(blk)}"
-                )
-            pair_index[ab] = pair_index[ac] = pair_index[bc] = blk
-            masks.append(1 << a | 1 << b | 1 << c)
-        self.pair_index: Mapping[tuple[int, int], Block] = pair_index
+            if adj[a] >> b & 1 or adj[a] >> c & 1 or adj[b] >> c & 1:
+                self._raise_pair_in_two_blocks(i)
+            m = 1 << a | 1 << b | 1 << c
+            adj[a] |= m
+            adj[b] |= m
+            adj[c] |= m
+            masks.append(m)
         self.block_masks = tuple(masks)
+        self._pair_index = None
         self._kernel = _pykernels.prepare(n, self.block_masks)
         self._label_to_index = {lab: i for i, lab in enumerate(labels)}
+
+    @property
+    def pair_index(self) -> Mapping[tuple[int, int], Block]:
+        if self._pair_index is None:
+            self._pair_index = _pair_map(self.blocks)
+        return self._pair_index
+
+    def _raise_pair_in_two_blocks(self, i: int):
+        # The blocks before ``i`` are pair-disjoint, so their pair map
+        # names the one block that ``blocks[i]`` collides with.
+        earlier = _pair_map(self.blocks[:i])
+        blk = self.blocks[i]
+        a, b, c = blk.points
+        pair = next(p for p in ((a, b), (a, c), (b, c)) if p in earlier)
+        raise PairInTwoBlocks(
+            f"pair {self._pair_repr(pair)} lies in two blocks: "
+            f"{self.block_labels(earlier[pair])} and {self.block_labels(blk)}"
+        )
 
     def _pair_repr(self, pair):
         return "{" + ", ".join(self.labels[p] for p in pair) + "}"
@@ -188,7 +215,11 @@ class TripleSystem:
 
     def subsystem(self, points: Iterable[int]) -> tuple["TripleSystem", dict[int, int]]:
         """Induced system on ``points``; also returns old->new index map."""
-        pts = sorted(set(points))
+        pts = set(points)
+        for p in pts:
+            if not (_is_plain_int(p) and 0 <= p < self.n):
+                raise PointOutOfRange(f"point index {p!r} outside [0, {self.n})")
+        pts = sorted(pts)
         back = {old: new for new, old in enumerate(pts)}
         # ``back`` is increasing, so each mapped block stays in ascending
         # order and needs no re-check.
@@ -218,6 +249,11 @@ class TripleSystem:
 
     def __repr__(self):
         return f"TripleSystem(n={self.n}, blocks={len(self.blocks)})"
+
+
+def _is_plain_int(v) -> bool:
+    """True for an ``int`` that is not a ``bool``."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_int_token(tok: str) -> bool:
@@ -257,6 +293,8 @@ def validate_system(n: int, raw_blocks: Iterable) -> TripleSystem:
     checked for a block listed twice, and only then are the Blocks
     built, without repeating those checks.
     """
+    if not _is_plain_int(n):
+        raise InputError(f"order must be an integer, got {n!r}")
     if n < 0:
         raise PointOutOfRange(f"order must be nonnegative, got {n}")
     triples = [tuple(t) for t in raw_blocks]
@@ -317,7 +355,11 @@ def _entries_of(seq) -> tuple[int, ...]:
 
 def _checked_permutation(seq, system: TripleSystem) -> tuple[int, ...]:
     entries = _entries_of(seq)
-    if len(entries) != system.n or set(entries) != set(range(system.n)):
+    if (
+        len(entries) != system.n
+        or set(entries) != set(range(system.n))
+        or not all(map(_is_plain_int, entries))
+    ):
         raise SequenceNotPermutation(
             f"sequence of length {len(entries)} is not a permutation of "
             f"{system.n} points"
@@ -328,7 +370,7 @@ def _checked_permutation(seq, system: TripleSystem) -> tuple[int, ...]:
 def _checked_budget(budget: Optional[int]) -> Optional[int]:
     if budget is None:
         return None
-    if type(budget) is bool or not isinstance(budget, int):
+    if not _is_plain_int(budget):
         raise InputError(f"node budget must be an integer or None, got {budget!r}")
     if budget < 0:
         raise InputError(f"node budget must be non-negative, got {budget}")

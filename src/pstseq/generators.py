@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from typing import Sequence as Seq
 
-from .core import TripleSystem, validate_system
+from .core import TripleSystem, _is_plain_int, _sorted_block, validate_system
 from .errors import DevelopmentCollision, PairInTwoBlocks, SizeTooSmall
 
 
@@ -136,18 +137,40 @@ def _shuffle(x: list, getrandbits) -> None:
         x[i], x[j] = x[j], x[i]
 
 
+@functools.lru_cache(maxsize=1)
+def _triple_table(n: int) -> tuple[tuple[tuple[int, int, int], int, int, int], ...]:
+    """Every triple of ``range(n)`` in lexicographic order, with the ids
+    ``a*n+b``, ``a*n+c`` and ``b*n+c`` of its three pairs.
+
+    Cached for one order at a time: the table for order 60 holds 34,220
+    rows, about 8 MB.
+    """
+    return tuple(
+        ((a, b, c), a * n + b, a * n + c, b * n + c)
+        for a, b, c in itertools.combinations(range(n), 3)
+    )
+
+
 def random_system(n: int, target_blocks: int, seed: int) -> TripleSystem:
     """Seeded greedy system: shuffle all triples, insert pair-disjoint ones.
 
     Deterministic per seed.  Stops at the target or at saturation, so the
     result may hold fewer blocks than requested; the caller reads the
-    achieved count off the system.  Used pairs are kept as one adjacency
-    bitmask per point.  The shuffle and the scan order are part of the
+    achieved count off the system.  The triples come from
+    ``_triple_table``, built once per order with the ids of their pairs,
+    and used pairs are marked in a ``bytearray`` indexed by those ids.
+    The chosen triples are sorted, distinct, in range and pair-disjoint
+    by construction, so the system is built directly, without
+    ``validate_system``.  The shuffle and the scan order are part of the
     contract, so a seed names the same system across versions; the tests
     pin it against an independent pair-set reference and by a digest.
     The shuffle is ``random.Random(seed).shuffle`` with its draw helper
     inlined (``_shuffle``); a test checks it against the stdlib one.
     """
+    if not (_is_plain_int(n) and _is_plain_int(target_blocks)):
+        raise ValueError(
+            f"order and target block count must be integers, got {n!r} and {target_blocks!r}"
+        )
     bound = johnson_schonheim(n)
     if target_blocks < 0:
         raise ValueError(f"target block count must be nonnegative, got {target_blocks}")
@@ -155,22 +178,19 @@ def random_system(n: int, target_blocks: int, seed: int) -> TripleSystem:
         raise ValueError(
             f"target {target_blocks} exceeds the order-{n} block bound {bound}"
         )
-    if not target_blocks:
-        return validate_system(n, ())
-    triples = list(itertools.combinations(range(n), 3))
-    _shuffle(triples, random.Random(seed).getrandbits)
-    adj = [0] * n
     chosen = []
-    wanted = target_blocks
-    for t in triples:
-        a, b, c = t
-        if adj[a] >> b & 1 or adj[a] >> c & 1 or adj[b] >> c & 1:
-            continue
-        adj[a] |= 1 << b | 1 << c
-        adj[b] |= 1 << a | 1 << c
-        adj[c] |= 1 << a | 1 << b
-        chosen.append(t)
-        wanted -= 1
-        if not wanted:
-            break
-    return validate_system(n, sorted(chosen))
+    if target_blocks:
+        table = list(_triple_table(n))
+        _shuffle(table, random.Random(seed).getrandbits)
+        used = bytearray(n * n)
+        wanted = target_blocks
+        for t, ab, ac, bc in table:
+            if used[ab] or used[ac] or used[bc]:
+                continue
+            used[ab] = used[ac] = used[bc] = 1
+            chosen.append(t)
+            wanted -= 1
+            if not wanted:
+                break
+        chosen.sort()
+    return TripleSystem(n, tuple(map(_sorted_block, chosen)), tuple(map(str, range(n))))

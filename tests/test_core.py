@@ -23,6 +23,7 @@ from pstseq import (
 )
 from pstseq.core import _is_int_token
 from pstseq.errors import (
+    InputError,
     PairInTwoBlocks,
     PointOutOfRange,
     RepeatedPointInBlock,
@@ -378,3 +379,44 @@ def test_block_normalizes_order():
 
 def test_sequence_reversed_helper():
     assert Sequence((0, 1, 2)).reversed().entries == (2, 1, 0)
+
+
+class TestInputTypes:
+    def test_non_integer_order_rejected(self):
+        for n, rows in ((True, []), (False, []), (3.0, [[0, 1, 2]]), ("3", [[0, 1, 2]])):
+            with pytest.raises(InputError, match="order must be an integer"):
+                validate_system(n, rows)
+
+    def test_subsystem_point_out_of_range(self):
+        system = validate_system(6, [[0, 1, 2], [3, 4, 5]])
+        for points in ([0, 1, 9], [0, 1, -1], [6], [0, 1.5], [0, True, 2], ["1", 2]):
+            with pytest.raises(PointOutOfRange):
+                system.subsystem(points)
+        sub, back = system.subsystem([0, 1, 5])
+        assert sub.labels == ("0", "1", "5") and back == {0: 0, 1: 1, 5: 2}
+
+    def test_non_integer_sequence_entries_rejected(self):
+        system = validate_system(6, [[0, 1, 2], [3, 4, 5]])
+        for seq in ([0, 1, 2, 3, 4, 5.0], [0, True, 2, 3, 4, 5]):
+            with pytest.raises(SequenceNotPermutation):
+                is_admissible(seq, system)
+            with pytest.raises(SequenceNotPermutation):
+                inadmissible_segments(seq, system)
+        assert is_admissible([0, 1, 3, 2, 4, 5], system)
+
+
+class TestPairCheck:
+    def test_pair_index_built_once(self):
+        system = random_system(13, 26, 3)
+        first = system.pair_index
+        assert system.pair_index is first
+        assert len(first) == 3 * len(system.blocks)
+
+    def test_collision_message_names_both_blocks(self):
+        rows = [blk.points for blk in random_system(19, 57, 0).blocks]
+        assert len(rows) == 46
+        with pytest.raises(PairInTwoBlocks) as exc:
+            validate_system(19, rows + [(16, 17, 18)])
+        assert str(exc.value) == (
+            "pair {16, 17} lies in two blocks: ('8', '16', '17') and ('16', '17', '18')"
+        )

@@ -2,12 +2,17 @@
 
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pstseq
 from pstseq import (
     CyclicBase,
     cyclic_system,
@@ -19,7 +24,7 @@ from pstseq import (
     validate_system,
 )
 from pstseq.errors import DevelopmentCollision, SizeTooSmall
-from pstseq.generators import _shuffle
+from pstseq.generators import _shuffle, _triple_table
 
 
 class TestCyclic:
@@ -208,3 +213,48 @@ class TestRandomSystem:
         system = random_system(7, johnson_schonheim(7), 1)
         assert len(system.blocks) <= johnson_schonheim(7)
         assert len(system.blocks) >= 1
+
+
+class TestTripleTable:
+    def test_rows_in_lexicographic_order_with_pair_ids(self):
+        n = 9
+        rows = _triple_table(n)
+        assert [t for t, *_ in rows] == list(itertools.combinations(range(n), 3))
+        for (a, b, c), ab, ac, bc in rows:
+            assert (ab, ac, bc) == (a * n + b, a * n + c, b * n + c)
+
+    def test_holds_one_order(self):
+        for n in (7, 13, 19):
+            random_system(n, johnson_schonheim(n), 0)
+            assert _triple_table.cache_info().currsize <= 1
+
+    def test_interleaved_orders_draw_the_same_systems(self):
+        alone = {
+            n: [random_system(n, johnson_schonheim(n), s) for s in range(5)]
+            for n in (13, 19)
+        }
+        for s in range(5):
+            for n in (13, 19, 13):
+                assert random_system(n, johnson_schonheim(n), s) == alone[n][s]
+
+    def test_not_built_at_import(self):
+        src = str(Path(pstseq.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import pstseq.cli\n"
+            "from pstseq.generators import _triple_table\n"
+            "assert _triple_table.cache_info().currsize == 0\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("n,target", [
+    (13, 2.5), (13, True), (13, "3"), (13.0, 3), (True, 0), (13, None),
+])
+def test_random_system_non_integer_arguments_rejected(n, target):
+    with pytest.raises(ValueError, match="must be integers"):
+        random_system(n, target, 0)
