@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
 import time
@@ -61,23 +60,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _input_info(path, system: TripleSystem) -> dict:
-    return {
-        "path": str(path),
-        "sha256": _digest(path),
-        "order": system.n,
-        "blocks": len(system.blocks),
-    }
-
-
 class _Report:
     """Accumulates one run's machine-readable report."""
 
-    def __init__(self, command: str, args):
+    def __init__(self, command: str, json_mode: bool):
         self.data = {
             "tool": "pstseq",
             "version": __version__,
@@ -86,8 +72,19 @@ class _Report:
             "outcome": None,
             "details": {},
         }
-        self.json_mode = args.json
+        self.json_mode = json_mode
         self.started = time.perf_counter()
+
+    def load(self, path) -> TripleSystem:
+        """Read a system file once and record it as the report's input."""
+        system, sha256 = formats.load_system(path)
+        self.data["input"] = {
+            "path": str(path),
+            "sha256": sha256,
+            "order": system.n,
+            "blocks": len(system.blocks),
+        }
+        return system
 
     def emit(self, exit_code: int, text_lines) -> int:
         self.data["timing"] = {"elapsed_s": round(time.perf_counter() - self.started, 6)}
@@ -100,49 +97,42 @@ class _Report:
         return exit_code
 
 
-def _segment_detail(system, hits):
-    out = []
-    for seg, witness in hits:
-        out.append(
-            {
-                "start": seg.start,
-                "length": seg.length,
-                "blocks": [list(system.block_labels(b)) for b in witness.parts],
-            }
-        )
-    return out
+def _blocks_json(system: TripleSystem, blocks) -> list[list[str]]:
+    return [list(system.block_labels(b)) for b in blocks]
+
+
+def _blocks_text(system: TripleSystem, blocks) -> str:
+    return " | ".join(" ".join(system.block_labels(b)) for b in blocks)
 
 
 def cmd_validate(args, report: _Report) -> int:
-    system = formats.load_system(args.file)
-    report.data["input"] = _input_info(args.file, system)
+    system = report.load(args.file)
     report.data["outcome"] = "valid"
-    return report.emit(
-        EXIT_OK,
-        [f"valid: order {system.n}, {len(system.blocks)} blocks"],
-    )
+    return report.emit(EXIT_OK, [f"valid: order {system.n}, {len(system.blocks)} blocks"])
 
 
 def cmd_check_seq(args, report: _Report) -> int:
-    system = formats.load_system(args.system)
+    system = report.load(args.system)
     seq = formats.load_sequence(args.sequence, system)
-    report.data["input"] = _input_info(args.system, system)
     hits = inadmissible_segments(seq, system)
     if not hits:
         report.data["outcome"] = "admissible"
         return report.emit(EXIT_OK, ["admissible"])
     report.data["outcome"] = "inadmissible"
-    report.data["details"]["segments"] = _segment_detail(system, hits)
+    report.data["details"]["segments"] = [
+        {"start": seg.start, "length": seg.length, "blocks": _blocks_json(system, w.parts)}
+        for seg, w in hits
+    ]
     lines = [f"inadmissible: {len(hits)} segment(s) partition into blocks"]
-    for seg, witness in hits:
-        parts = " | ".join(" ".join(system.block_labels(b)) for b in witness.parts)
-        lines.append(f"  start {seg.start} length {seg.length}: {parts}")
+    lines += [
+        f"  start {seg.start} length {seg.length}: {_blocks_text(system, w.parts)}"
+        for seg, w in hits
+    ]
     return report.emit(EXIT_NOT_SEQUENCEABLE, lines)
 
 
 def cmd_decide(args, report: _Report) -> int:
-    system = formats.load_system(args.file)
-    report.data["input"] = _input_info(args.file, system)
+    system = report.load(args.file)
     report.data["params"] = {"budget": args.budget}
     decision = sequencer.decide(system, budget=args.budget)
     report.data["outcome"] = decision.outcome.value
@@ -159,8 +149,7 @@ def cmd_decide(args, report: _Report) -> int:
 
 
 def cmd_construct(args, report: _Report) -> int:
-    system = formats.load_system(args.file)
-    report.data["input"] = _input_info(args.file, system)
+    system = report.load(args.file)
     report.data["params"] = {"budget": args.budget}
     try:
         seq = sequencer.construct(system, budget=args.budget)
@@ -180,18 +169,17 @@ def cmd_construct(args, report: _Report) -> int:
 
 def _emit_system(args, report: _Report, system: TripleSystem, comment: str) -> int:
     if args.json:
+        obj = formats.system_to_json_obj(system)
         report.data["outcome"] = "generated"
-        report.data["details"]["system"] = formats.system_to_json_obj(system)
-        text = None
+        report.data["details"]["system"] = obj
+        text = json.dumps(obj, sort_keys=True) + "\n"
     else:
         text = formats.system_to_psts(system, comment=comment)
     if args.output:
-        payload = (
-            json.dumps(formats.system_to_json_obj(system), sort_keys=True) + "\n"
-            if args.json
-            else text
-        )
-        Path(args.output).write_text(payload)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from None
         return report.emit(EXIT_OK, [f"wrote {args.output}"])
     if args.json:
         return report.emit(EXIT_OK, [])
@@ -227,27 +215,25 @@ def cmd_gen(args, report: _Report) -> int:
 
 
 def cmd_pack(args, report: _Report) -> int:
-    system = formats.load_system(args.file)
-    report.data["input"] = _input_info(args.file, system)
+    system = report.load(args.file)
     report.data["params"] = {"budget": args.budget}
     result = packing.max_disjoint_blocks(system, budget=args.budget)
     report.data["outcome"] = "exact" if result.exact else "lower-bound"
     report.data["details"] = {
         "nu": result.nu,
-        "witness": [list(system.block_labels(b)) for b in result.witness],
+        "witness": _blocks_json(system, result.witness),
         "nodes_explored": result.nodes_explored,
         "exact": result.exact,
     }
     lines = [
         f"nu = {result.nu}{'' if result.exact else ' (lower bound, budget hit)'}",
-        " | ".join(" ".join(system.block_labels(b)) for b in result.witness),
+        _blocks_text(system, result.witness),
     ]
     return report.emit(EXIT_OK if result.exact else EXIT_UNKNOWN, lines)
 
 
 def cmd_bad_sets(args, report: _Report) -> int:
-    system = formats.load_system(args.file)
-    report.data["input"] = _input_info(args.file, system)
+    system = report.load(args.file)
     result = packing.bad_sets(system)
     report.data["outcome"] = "ok"
     report.data["details"] = {
@@ -255,7 +241,7 @@ def cmd_bad_sets(args, report: _Report) -> int:
         "bad_sets": [
             {
                 "points": [system.labels[p] for p in pts],
-                "realization": [list(system.block_labels(b)) for b in witness.parts],
+                "realization": _blocks_json(system, witness.parts),
             }
             for pts, witness in zip(result.bad_sets, result.realizations)
         ],
@@ -263,28 +249,22 @@ def cmd_bad_sets(args, report: _Report) -> int:
     lines = [f"{len(result.bad_sets)} bad set(s) of size {result.m_size}"]
     for pts, witness in zip(result.bad_sets, result.realizations):
         shown = " ".join(system.labels[p] for p in pts) or "(empty)"
-        parts = " | ".join(" ".join(system.block_labels(b)) for b in witness.parts)
-        lines.append(f"  {{{shown}}}: {parts}")
+        lines.append(f"  {{{shown}}}: {_blocks_text(system, witness.parts)}")
     return report.emit(EXIT_OK, lines)
 
 
 def cmd_good_set(args, report: _Report) -> int:
-    system = formats.load_system(args.file)
-    report.data["input"] = _input_info(args.file, system)
+    system = report.load(args.file)
     tokens = args.points.split(",") if args.points else []
     if not all(tokens):
         raise InputError(f"--points must be comma-separated labels, none empty: {args.points!r}")
     pts = [system.index_of(tok) for tok in tokens]
     good, witness = packing.is_good_set(system, pts)
     report.data["outcome"] = "good" if good else "bad"
-    if witness is not None:
-        report.data["details"]["realization"] = [
-            list(system.block_labels(b)) for b in witness.parts
-        ]
     if good:
         return report.emit(EXIT_OK, ["good set"])
-    parts = " | ".join(" ".join(system.block_labels(b)) for b in witness.parts)
-    return report.emit(EXIT_OK, [f"bad set, realized by {parts}"])
+    report.data["details"]["realization"] = _blocks_json(system, witness.parts)
+    return report.emit(EXIT_OK, [f"bad set, realized by {_blocks_text(system, witness.parts)}"])
 
 
 def cmd_bound(args, report: _Report) -> int:
@@ -317,9 +297,10 @@ def cmd_verify_sts13(args, report: _Report) -> int:
         "so every permutation has partitionable 12-segments at both ends",
         "and the system is not sequenceable.",
     ]
-    for e in cert.entries:
-        quads = " | ".join(" ".join(str(p) for p in b.points) for b in e.blocks)
-        lines.append(f"  vertex {e.vertex}: rotation {e.exponent}: {quads}")
+    lines += [
+        f"  vertex {e.vertex}: rotation {e.exponent}: {_blocks_text(cert.system, e.blocks)}"
+        for e in cert.entries
+    ]
     return report.emit(EXIT_OK, lines)
 
 
@@ -368,14 +349,15 @@ def build_parser() -> argparse.ArgumentParser:
     budget.add_argument(
         "--budget", type=int, default=sequencer.DEFAULT_BUDGET, help="search node budget"
     )
-    budgeted = [common, budget]
+    file = argparse.ArgumentParser(add_help=False)
+    file.add_argument("file")
+    budgeted = [common, budget, file]
 
     parser = _Parser(prog="pstseq", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pstseq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("validate", parents=[common], help="validate a system file")
-    p.add_argument("file")
+    p = sub.add_parser("validate", parents=[common, file], help="validate a system file")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("check-seq", parents=[common], help="check a sequence against a system")
@@ -384,45 +366,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_seq)
 
     p = sub.add_parser("decide", parents=budgeted, help="decide sequenceability exactly")
-    p.add_argument("file")
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("construct", parents=budgeted, help="construct an admissible sequence")
-    p.add_argument("file")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("gen", help="generate a system")
+    p.set_defaults(func=cmd_gen)
     gsub = p.add_subparsers(dest="kind", required=True, parser_class=_Parser)
     g = gsub.add_parser("cyclic", parents=[common])
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--base", action="append", required=True, help="comma-separated residues")
-    g.add_argument("--output", "-o")
-    g.set_defaults(func=cmd_gen)
     g = gsub.add_parser("friendship", parents=[common])
     g.add_argument("--m", type=int, required=True)
-    g.add_argument("--output", "-o")
-    g.set_defaults(func=cmd_gen)
     g = gsub.add_parser("chain", parents=[common])
     g.add_argument("--sizes", required=True, help="comma-separated triangle counts")
-    g.add_argument("--output", "-o")
-    g.set_defaults(func=cmd_gen)
     g = gsub.add_parser("random", parents=[common])
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--blocks", type=int, required=True)
     g.add_argument("--seed", type=int, default=0, help="seed for random generation")
-    g.add_argument("--output", "-o")
-    g.set_defaults(func=cmd_gen)
+    # Added last so that every usage line ends with it.
+    for g in gsub.choices.values():
+        g.add_argument("--output", "-o")
 
     p = sub.add_parser("pack", parents=budgeted, help="maximum disjoint blocks")
-    p.add_argument("file")
     p.set_defaults(func=cmd_pack)
 
-    p = sub.add_parser("bad-sets", parents=[common], help="enumerate bad sets")
-    p.add_argument("file")
+    p = sub.add_parser("bad-sets", parents=[common, file], help="enumerate bad sets")
     p.set_defaults(func=cmd_bad_sets)
 
-    p = sub.add_parser("good-set", parents=[common], help="test one candidate set")
-    p.add_argument("file")
+    p = sub.add_parser("good-set", parents=[common, file], help="test one candidate set")
     p.add_argument("--points", required=True, help="comma-separated labels")
     p.set_defaults(func=cmd_good_set)
 
@@ -433,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-sts13", parents=[common], help="order-13 certificate")
     p.set_defaults(func=cmd_verify_sts13)
 
-    p = sub.add_parser("hunt", parents=budgeted, help="decide over a seeded corpus (NDJSON)")
+    # hunt always streams NDJSON, so it takes no --json.
+    p = sub.add_parser("hunt", parents=[budget], help="decide over a seeded corpus (NDJSON)")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--seeds", required=True, help="inclusive range A..B")
     p.add_argument("--blocks", type=int, default=None)
@@ -463,11 +437,8 @@ def main(argv=None) -> int:
             _attach_negative_values(sys.argv[1:] if argv is None else argv)
         )
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_INPUT
-        if code not in (0,):
-            return EXIT_INPUT
-        return 0
-    report = _Report(args.command, args)
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
+    report = _Report(args.command, getattr(args, "json", False))
     try:
         return args.func(args, report)
     except (PstseqError, ValueError) as exc:

@@ -4,11 +4,13 @@ Text format ``.psts``: first line ``order N``; each following
 non-comment line is one block as whitespace-separated labels; ``#``
 starts a comment.  JSON mirror: ``{"order": N, "blocks": [[l1,l2,l3],
 ...]}``.  Sequences: one whitespace-separated line of labels, or a JSON
-array.
+array.  Both are read as UTF-8 text; ``load_system`` also returns the
+SHA-256 of the bytes it parsed, so a report names exactly what was read.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 from typing import Iterable
@@ -68,13 +70,30 @@ def parse_system_json(text: str, source: str = "<string>") -> TripleSystem:
     return validate_system(order, blocks)
 
 
-def load_system(path) -> TripleSystem:
+def _read(path) -> tuple[str, bytes]:
+    """The file's bytes and their text: UTF-8, newlines made ``\\n``."""
     p = Path(path)
     try:
-        text = p.read_text()
+        data = p.read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {p}: {exc}") from None
-    return parse_system_text(text, source=str(p))
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"{p}: not UTF-8 text (byte {data[exc.start]:#04x} at offset {exc.start})"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n"), data
+
+
+def load_system(path) -> tuple[TripleSystem, str]:
+    """Read and parse a system file, reading it once.
+
+    Returns the system and the SHA-256 hex digest of the bytes parsed,
+    so a pipe or FIFO is hashed as read, not re-read.
+    """
+    text, data = _read(path)
+    return parse_system_text(text, source=str(Path(path))), hashlib.sha256(data).hexdigest()
 
 
 def system_to_psts(system: TripleSystem, comment: str | None = None) -> str:
@@ -109,12 +128,7 @@ def parse_sequence_text(text: str, system: TripleSystem, source: str = "<string>
 
 
 def load_sequence(path, system: TripleSystem) -> Sequence:
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {p}: {exc}") from None
-    return parse_sequence_text(text, system, source=str(p))
+    return parse_sequence_text(_read(path)[0], system, source=str(Path(path)))
 
 
 def sequence_to_text(seq: Sequence | Iterable[int], system: TripleSystem) -> str:

@@ -42,7 +42,7 @@ from .errors import (
     SequenceNotPermutation,
 )
 from .generators import CyclicBase, cyclic_system
-from .packing import PackingResult, bad_sets, max_disjoint_blocks
+from .packing import PackingResult, max_disjoint_blocks
 
 #: Default node budget for exhaustive decision searches.
 DEFAULT_BUDGET = 10**8
@@ -225,12 +225,16 @@ def _pattern_route(system, blocks, key) -> Sequence:
     return Sequence(tuple(entries))
 
 
-def _bad_points(system: TripleSystem) -> set[int]:
-    return {t[0] for t in bad_sets(system).bad_sets}
+def _splitting_points(system: TripleSystem, candidates, mask: int) -> set[int]:
+    """The candidates p whose removal from ``mask`` leaves a point set
+    that splits into disjoint blocks."""
+    kernel = system._kernel
+    return {p for p in candidates if _pykernels.can_partition(kernel, mask ^ (1 << p))}
 
 
 def _construct_ten(system: TripleSystem, witness) -> Sequence:
-    bad = _bad_points(system)
+    # The bad points: those whose complement splits into three blocks.
+    bad = _splitting_points(system, system.points(), system.full_mask())
     wpoints = {p for blk in witness for p in blk}
     a_pt = next(p for p in system.points() if p not in wpoints)
 
@@ -280,13 +284,9 @@ def _construct_eleven(system: TripleSystem, witness) -> Sequence:
     wset = set(wpoints)
     extras = [p for p in system.points() if p not in wset]
     a_pt, b_pt = extras
-    everything = set(system.points())
-
-    def good_for(x, p):
-        return partition_into_blocks(everything - {x, p}, system) is None
-
-    good_a = {p for p in wpoints if good_for(a_pt, p)}
-    good_b = {p for p in wpoints if good_for(b_pt, p)}
+    full = system.full_mask()
+    good_a = wset - _splitting_points(system, wpoints, full ^ (1 << a_pt))
+    good_b = wset - _splitting_points(system, wpoints, full ^ (1 << b_pt))
     common = sorted(good_a & good_b)
     if not common:
         return _pattern_route(system, witness, (3, 11))
@@ -527,9 +527,7 @@ def construct(system: TripleSystem, budget: Optional[int] = DEFAULT_BUDGET) -> S
             return _construct_ten(system, result.witness)
         if n == 11:
             return _construct_eleven(system, result.witness)
-        if n == 12:
-            return pi_template_instantiate(system, result.witness).sequence
-        # The paper's extension, searched on the whole system.
+        # Order 12, and the paper's extension searched on the whole system.
         return _pattern_route(system, result.witness, (3, 12))
     if system.n >= 15 * nu - 5:
         return _interleave(system, result)

@@ -95,6 +95,48 @@ class TestValidateAndGen:
         assert code == 3
         assert "two blocks" in err
 
+    @pytest.mark.parametrize("where", ["no-such-dir/x.psts", "."])
+    def test_gen_unwritable_output_is_input_error(self, capsys, tmp_path, where):
+        target = str(tmp_path / where)
+        code, out, err = run(capsys, "gen", "random", "--n", "9", "--blocks", "5", "-o", target)
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["validate", "check-seq"])
+    def test_non_utf8_file_is_input_error_naming_it(self, capsys, tmp_path, nine_psts, command):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"order 3\n\xff 1 2\n")
+        argv = [nine_psts, str(path)] if command == "check-seq" else [str(path)]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 3 and out == ""
+        assert err == f"error: {path}: not UTF-8 text (byte 0xff at offset 8)\n"
+
+    @pytest.mark.parametrize("command", ["validate", "check-seq"])
+    def test_report_digest_is_of_the_file(self, capsys, tmp_path, nine_psts, command):
+        seq = tmp_path / "seq.txt"
+        seq.write_text("1 2 4 3 5 7 6 8 9\n")
+        argv = [nine_psts, str(seq)] if command == "check-seq" else [nine_psts]
+        code, out, _ = run(capsys, command, *argv, "--json")
+        digest = hashlib.sha256(Path(nine_psts).read_bytes()).hexdigest()
+        assert code == 0 and json.loads(out)["input"]["sha256"] == digest
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_piped_system_is_hashed_as_read(self):
+        # A pipe can be read only once: the digest must come from the
+        # bytes that were parsed, not from a second read.
+        content = b"# piped\norder 9\n1 2 3\n4 5 6\n7 8 9\n"
+        src = str(Path(pstseq.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, pstseq.cli; sys.exit(pstseq.cli.main())",
+             "validate", "/dev/stdin", "--json"],
+            input=content, env=env, capture_output=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert report["input"]["sha256"] == hashlib.sha256(content).hexdigest()
+        assert report["input"]["order"] == 9 and report["input"]["blocks"] == 3
+
     def test_json_report_is_stable(self, capsys, nine_psts):
         code, out1, _ = run(capsys, "pack", nine_psts, "--json")
         code, out2, _ = run(capsys, "pack", nine_psts, "--json")
@@ -311,6 +353,7 @@ class TestOptionScope:
         ["gen", "cyclic", "--n", "7", "--base", "0,1,3", "--seed", "1"],
         ["decide", "{f}", "--parallel", "2"],
         ["hunt", "--order", "9", "--seeds", "0..1", "--parallel", "2"],
+        ["hunt", "--order", "9", "--seeds", "0..1", "--json"],
     ])
     def test_unread_option_is_usage_error(self, capsys, nine_psts, argv):
         code, _, err = run(capsys, *(a.format(f=nine_psts) for a in argv))

@@ -19,7 +19,7 @@ def test_psts_roundtrip_numeric(tmp_path):
     system = random_system(12, 6, 3)
     path = tmp_path / "sys.psts"
     path.write_text(formats.system_to_psts(system, comment="corpus seed 3"))
-    again = formats.load_system(path)
+    again, _ = formats.load_system(path)
     assert _same_system(system, again)
 
 
@@ -27,7 +27,7 @@ def test_psts_roundtrip_named_labels(tmp_path):
     system = friendship_chain([2, 2])
     path = tmp_path / "chain.psts"
     path.write_text(formats.system_to_psts(system))
-    again = formats.load_system(path)
+    again, _ = formats.load_system(path)
     assert _same_system(system, again)
 
 
@@ -37,7 +37,7 @@ def test_json_roundtrip(tmp_path):
     system = friendship_chain([3, 2])
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(formats.system_to_json_obj(system)))
-    again = formats.load_system(path)
+    again, _ = formats.load_system(path)
     assert _same_system(system, again)
 
 
@@ -99,3 +99,24 @@ def test_unknown_label_in_sequence():
     system = validate_system(3, [[0, 1, 2]])
     with pytest.raises(InputError):
         formats.parse_sequence_text("0 1 9", system)
+
+
+def test_load_system_returns_digest_of_bytes_read(tmp_path):
+    import hashlib
+
+    data = b"# note\r\norder 3\r\n0 1 2\r\n"
+    path = tmp_path / "crlf.psts"
+    path.write_bytes(data)
+    system, digest = formats.load_system(path)
+    assert system.n == 3 and len(system.blocks) == 1
+    assert digest == hashlib.sha256(data).hexdigest()
+
+
+def test_json_error_line_counts_carriage_returns(tmp_path):
+    # Newlines are read as in text mode, so a lone "\r" ends a line.
+    path = tmp_path / "cr.json"
+    path.write_bytes(b'{"order": 3,\r"blocks": [["0", "1" "2"]]}')
+    with pytest.raises(InputError) as err:
+        formats.load_system(path)
+    assert f"{path}, line 2: invalid JSON" in str(err.value)
+
