@@ -71,7 +71,8 @@ def parse_system_json(text: str, source: str = "<string>") -> TripleSystem:
 
 
 def _read(path) -> tuple[str, bytes]:
-    """The file's bytes and their text: UTF-8, newlines made ``\\n``."""
+    """The file's bytes and their text: UTF-8 without a leading
+    byte-order mark, newlines made ``\\n``."""
     p = Path(path)
     try:
         data = p.read_bytes()
@@ -83,7 +84,7 @@ def _read(path) -> tuple[str, bytes]:
         raise InputError(
             f"{p}: not UTF-8 text (byte {data[exc.start]:#04x} at offset {exc.start})"
         ) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n"), data
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n"), data
 
 
 def load_system(path) -> tuple[TripleSystem, str]:

@@ -24,6 +24,8 @@ class CyclicBase:
             raise ValueError(f"modulus must be at least 3, got {self.modulus}")
         normalized = []
         for b in self.base_blocks:
+            if len(b) != 3:
+                raise ValueError(f"base block {b} must have 3 residues, got {len(b)}")
             res = tuple(sorted(x % self.modulus for x in b))
             if len(set(res)) != 3:
                 raise ValueError(f"base block {b} has repeated residues mod {self.modulus}")

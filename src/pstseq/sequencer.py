@@ -28,8 +28,8 @@ from .core import (
     Sequence,
     TripleSystem,
     _checked_budget,
+    _checked_permutation,
     is_admissible,
-    partition_into_blocks,
 )
 from .errors import (
     BudgetExhausted,
@@ -147,32 +147,25 @@ def decide(
 def _construct_nu_le1(system: TripleSystem) -> Sequence:
     # Any two blocks meet, so only 3-segments can ever be inadmissible.
     blocks = system.blocks
-    if not blocks:
-        return _verified(system, range(system.n), "identity construction")
-    b1 = blocks[0]
-    p1, p2, p3 = b1.points
-    extras = [p for p in system.points() if p not in b1]
-    if not extras:
-        return _verified(system, b1.points, "single-block construction")
-    if len(blocks) == 1:
-        return _verified(
-            system, [p1, p2, extras[0], p3, *extras[1:]], "one-block-with-extras construction"
-        )
-    # Some other block meets b1 in exactly one point; anchor on it.
-    b2 = blocks[1]
-    shared = [p for p in b2 if p in b1][0]
-    two, three = sorted(p for p in b1 if p != shared)
-    a_pt, b_pt = sorted(p for p in b2 if p != shared)
-    pool = [p for p in system.points() if p not in b1 and p not in (a_pt, b_pt)]
-    if not pool:
-        return _verified(
-            system, [shared, two, a_pt, b_pt, three], "intersecting-blocks construction"
-        )
-    return _verified(
-        system,
-        [shared, pool[0], two, three, a_pt, b_pt, *pool[1:]],
-        "intersecting-blocks construction",
-    )
+    if not blocks or system.n == 3:
+        # No block, or order 3, whose one block is all its points.
+        entries = system.points()
+    elif len(blocks) == 1:
+        p1, p2, p3 = blocks[0].points
+        extras = [p for p in system.points() if p not in blocks[0]]
+        entries = [p1, p2, extras[0], p3, *extras[1:]]
+    else:
+        # Some other block meets b1 in exactly one point; anchor on it.
+        b1, b2 = blocks[0], blocks[1]
+        shared = next(p for p in b2 if p in b1)
+        two, three = sorted(p for p in b1 if p != shared)
+        a_pt, b_pt = sorted(p for p in b2 if p != shared)
+        pool = [p for p in system.points() if p not in b1 and p not in (a_pt, b_pt)]
+        if pool:
+            entries = [shared, pool[0], two, three, a_pt, b_pt, *pool[1:]]
+        else:
+            entries = [shared, two, a_pt, b_pt, three]
+    return _verified(system, entries, "the nu <= 1 construction")
 
 
 #: Positional patterns of the paper's constructions, keyed by (packing
@@ -303,8 +296,8 @@ def _construct_eleven(system: TripleSystem, witness) -> Sequence:
     for off, p in enumerate(sorted(q for q in b3 if q != nine)):
         assign[7 + off] = p
 
-    mid = {assign[3], assign[5], assign[7], assign[6], assign[8], a_pt}
-    if partition_into_blocks(mid, system) is not None:
+    mid = sum(1 << p for p in (assign[3], assign[5], assign[7], assign[6], assign[8], a_pt))
+    if _pykernels.can_partition(system._kernel, mid):
         assign[4], assign[5] = assign[5], assign[4]
 
     pattern = (1, 2, 4, 3, 5, 7, 6, 8)
@@ -313,7 +306,7 @@ def _construct_eleven(system: TripleSystem, witness) -> Sequence:
         for x, y in swaps:
             trial[x], trial[y] = trial[y], trial[x]
         order = [b_pt] + [trial[i] for i in pattern] + [a_pt, trial[9]]
-        if is_admissible(order, system):
+        if not _pykernels.inadmissible_scan(system._kernel, order, True):
             return Sequence(tuple(order))
     return _pattern_route(system, witness, (3, 11))
 
@@ -363,8 +356,10 @@ def extend(
 
     The residual must be three disjoint blocks plus three points,
     ordered by the positional template; the remaining points are
-    appended in canonical order and the result re-verified.  A residual
-    point outside ``range(system.n)`` raises ``PointOutOfRange``.
+    appended in canonical order and the result scanned once.  A
+    splitting segment inside the residual and short of all 12 points
+    raises ``ResidualNotAdmissible``, any other ``ValueError``.  A
+    residual point outside ``range(system.n)`` raises ``PointOutOfRange``.
     """
     pts = sorted(set(residual_points))
     if len(pts) != 12:
@@ -384,19 +379,21 @@ def extend(
         raise SequenceNotPermutation(
             "residual sequence is not a permutation of the residual points"
         )
-    sub, back = system.subsystem(pts)
-    if not is_admissible([back[p] for p in entries], sub):
+    placed = set(entries)
+    full = _checked_permutation(
+        entries + tuple(p for p in system.points() if p not in placed), system
+    )
+    hits = _pykernels.inadmissible_scan(system._kernel, full, False)
+    if any(start + length <= 12 and length < 12 for start, length, _ in hits):
         raise ResidualNotAdmissible(
             "the residual sequence is inadmissible on the induced subsystem"
         )
-    placed = set(entries)
-    full = list(entries) + [p for p in system.points() if p not in placed]
-    if not is_admissible(full, system):
+    if hits:
         raise ValueError(
             "extension came out inadmissible; the residual sequence must "
             "follow the 12-point positional template"
         )
-    return Sequence(tuple(full))
+    return Sequence(full)
 
 
 def interleave_large(system: TripleSystem, k: int) -> Sequence:
@@ -407,7 +404,7 @@ def interleave_large(system: TripleSystem, k: int) -> Sequence:
     as possible).  Segments longer than three cannot then collect enough
     packing points to partition; block 3-segments are repaired by
     swapping an adjacent outside point, retrying with reseeded outside
-    orders until the verifier passes or the attempt budget runs out.
+    orders until the scan finds no segment or the attempt budget runs out.
     """
     if k < 1:
         raise ValueError(f"interleaving needs packing number >= 1, got {k}")
@@ -437,7 +434,7 @@ def _interleave(system: TripleSystem, result: PackingResult) -> Sequence:
             random.Random(attempt).shuffle(vs)
         entries = _interleave_order(u_points, vs, gaps)
         repaired = _repair_three_segments(system, entries, u_set)
-        if repaired is not None and is_admissible(repaired, system):
+        if repaired is not None:
             return Sequence(tuple(repaired))
     raise RepairFailed(
         f"no admissible interleaving found in {REPAIR_ATTEMPTS} seeded attempts"
@@ -461,16 +458,17 @@ def _interleave_order(u_points, vs, gaps):
 
 
 def _repair_three_segments(system, entries, u_set):
+    # One scan a step: no splitting segment returns the entries, a block
+    # 3-segment is repaired, a longer segment fails the attempt.
     n = len(entries)
     seen = {tuple(entries)}
     for _ in range(20 * n):
-        pos = -1
-        for p in range(n - 2):
-            if system.is_block(entries[p : p + 3]):
-                pos = p
-                break
-        if pos < 0:
+        hits = _pykernels.inadmissible_scan(system._kernel, entries, True)
+        if not hits:
             return entries
+        pos, length, _ = hits[0]
+        if length > 3:
+            return None
         window = entries[pos : pos + 3]
         in_u = [i for i, e in enumerate(window) if e in u_set]
         if len(in_u) != 1:

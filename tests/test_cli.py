@@ -78,6 +78,18 @@ class TestValidateAndGen:
         _, expected, _ = run(capsys, "gen", "cyclic", "--n", "7", "--base", "1,2,4")
         assert out.splitlines()[1:] == expected.splitlines()[1:]
 
+    @pytest.mark.parametrize("base, size", [("0,1", 2), ("0,1,2,3", 4)])
+    def test_gen_cyclic_base_of_wrong_size(self, capsys, base, size):
+        code, out, err = run(capsys, "gen", "cyclic", "--n", "13", "--base", base)
+        assert code == 3 and out == ""
+        assert err == f"error: base block ({base.replace(',', ', ')}) must have 3 residues, got {size}\n"
+
+    def test_validate_file_with_byte_order_mark(self, capsys, tmp_path):
+        path = tmp_path / "bom.psts"
+        path.write_bytes(b"\xef\xbb\xbforder 3\n0 1 2\n")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 0 and err == ""
+
     def test_gen_random_deterministic(self, capsys):
         code, out1, _ = run(capsys, "gen", "random", "--n", "12", "--blocks", "4", "--seed", "7")
         code, out2, _ = run(capsys, "gen", "random", "--n", "12", "--blocks", "4", "--seed", "7")

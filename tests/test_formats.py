@@ -120,3 +120,28 @@ def test_json_error_line_counts_carriage_returns(tmp_path):
         formats.load_system(path)
     assert f"{path}, line 2: invalid JSON" in str(err.value)
 
+
+
+@pytest.mark.parametrize("name, body", [
+    ("bom.psts", b"order 3\n0 1 2\n"),
+    ("bom.json", b'{"order": 3, "blocks": [[0, 1, 2]]}'),
+])
+def test_leading_byte_order_mark_is_ignored(tmp_path, name, body):
+    import hashlib
+
+    data = b"\xef\xbb\xbf" + body
+    path = tmp_path / name
+    path.write_bytes(data)
+    system, digest = formats.load_system(path)
+    assert system.n == 3 and [b.points for b in system.blocks] == [(0, 1, 2)]
+    assert digest == hashlib.sha256(data).hexdigest()
+    seq = tmp_path / "seq.txt"
+    seq.write_bytes(b"\xef\xbb\xbf0 1 2\n")
+    assert formats.load_sequence(seq, system).entries == (0, 1, 2)
+
+
+def test_non_utf8_offset_counts_the_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.psts"
+    path.write_bytes(b"\xef\xbb\xbforder 3\n\xff 1 2\n")
+    with pytest.raises(InputError, match=r"byte 0xff at offset 11\)"):
+        formats.load_system(path)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +57,12 @@ class TestCyclic:
     def test_base_with_repeated_residue_rejected(self):
         with pytest.raises(ValueError):
             CyclicBase(5, ((0, 1, 6),))
+
+    @pytest.mark.parametrize("base, size", [((0, 1), 2), ((0, 1, 2, 3), 4)])
+    def test_base_of_wrong_size_rejected(self, base, size):
+        message = f"base block {base} must have 3 residues, got {size}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CyclicBase(13, (base,))
 
 
 class TestFriendship:

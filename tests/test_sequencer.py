@@ -31,6 +31,7 @@ from pstseq.errors import (
     PstseqError,
     ResidualNotAdmissible,
 )
+from pstseq.sequencer import _repair_three_segments
 from conftest import hub_system, padded
 
 STS13 = cyclic_system(CyclicBase(13, ((0, 1, 4), (0, 2, 7))))
@@ -299,6 +300,26 @@ class TestExtend:
             with pytest.raises(PointOutOfRange):
                 extend(system, residual, residual)
 
+    def test_splitting_residual_prefix_is_value_error(self):
+        # Every proper residual segment is admissible, but the whole
+        # 12-point prefix of the extended sequence splits.
+        system = validate_system(13, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)])
+        order = [0, 3, 6, 9, 1, 4, 7, 10, 2, 5, 8, 11]
+        with pytest.raises(ValueError, match="extension came out inadmissible"):
+            extend(system, range(12), order)
+
+    def test_block_across_the_tail_is_value_error(self):
+        system = validate_system(14, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (2, 12, 13)])
+        order = [0, 3, 6, 9, 1, 4, 7, 10, 5, 8, 11, 2]
+        with pytest.raises(ValueError, match="extension came out inadmissible"):
+            extend(system, range(12), order)
+
+    def test_block_inside_the_residual_is_residual_error(self):
+        system = validate_system(14, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (2, 12, 13)])
+        order = [0, 1, 2, 3, 6, 9, 4, 7, 10, 5, 8, 11]
+        with pytest.raises(ResidualNotAdmissible):
+            extend(system, range(12), order)
+
 
 class TestInterleave:
     def test_friendship8_at_its_own_order(self):
@@ -326,6 +347,13 @@ class TestInterleave:
     def test_packing_number_below_one_rejected(self, k):
         with pytest.raises(ValueError, match="packing number >= 1"):
             interleave_large(validate_system(5, []), k)
+
+    def test_repair_gives_up_on_a_longer_segment(self):
+        # No block 3-segment to repair, but the first six entries split
+        # into two blocks: the attempt fails instead of returning them.
+        system = validate_system(9, [(0, 1, 2), (3, 4, 5)])
+        entries = [0, 3, 1, 4, 2, 5, 6, 7, 8]
+        assert _repair_three_segments(system, entries, {0, 3}) is None
 
     def test_construct_dispatches_to_interleave(self):
         system = padded(friendship_chain([2, 2, 2, 2]), 55)
@@ -388,4 +416,44 @@ def test_construct_outputs_are_pinned():
     assert len(systems) == 235
     assert digest.hexdigest() == (
         "b4151178405d6ca301ba6c0e5085aaa50f93e84990d32b0a7af9ddf86cd1eaaf"
+    )
+
+
+def test_checked_routes_are_pinned():
+    # A golden digest of the routes that check each candidate once:
+    # the nu <= 1 recipes (random systems of orders 3-30 with up to four
+    # blocks, and the friendship systems), the order-11 relabeling rules
+    # on every nu = 3 system at every target, and the interleaving
+    # construction on hub systems with nu = 1-6 at orders 15nu-5 to
+    # 15nu+5.  Any change to a returned sequence or to the error raised
+    # changes it.
+    cases = []
+    for n in range(3, 31):
+        for target in range(1, min(4, johnson_schonheim(n)) + 1):
+            for seed in range(10):
+                system = random_system(n, target, seed)
+                if max_disjoint_blocks(system).nu <= 1:
+                    cases.append((system, construct))
+    cases += [(friendship(m), construct) for m in range(1, 12)]
+    for target in range(1, johnson_schonheim(11) + 1):
+        for seed in range(60):
+            system = random_system(11, target, seed)
+            if max_disjoint_blocks(system).nu == 3:
+                cases.append((system, construct))
+    for k in range(1, 7):
+        for n in range(15 * k - 5, 15 * k + 6):
+            for seed in range(2):
+                cases.append(
+                    (hub_system(n, k, seed), lambda s, k=k: interleave_large(s, k))
+                )
+    digest = hashlib.sha256()
+    for system, route in cases:
+        try:
+            got = route(system).entries
+        except PstseqError as exc:
+            got = type(exc).__name__
+        digest.update(f"{system.n} {system.block_masks} {got}\n".encode())
+    assert len(cases) == 1282
+    assert digest.hexdigest() == (
+        "6cf229995bd2038934f4ff6b28e6e1a556fca9508f2990e70f40b7566eec6b15"
     )
