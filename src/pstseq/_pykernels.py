@@ -14,6 +14,17 @@ from __future__ import annotations
 
 
 class PySystem:
+    """The search handle of a system of order ``n``.
+
+    ``masks`` holds the block bitmasks in canonical order.  ``lead[p]``
+    lists the ``(mask, id)`` pairs of the blocks whose least point is
+    ``p``, in canonical order: the only blocks that can cover ``p``
+    inside a point set whose least point is ``p``.  ``triples`` holds
+    each block's points in ascending order, for the scan and the
+    packing search.  ``TripleSystem`` builds its handle while it checks
+    the pairs; ``prepare`` builds one from raw masks.
+    """
+
     __slots__ = ("n", "masks", "lead", "triples")
 
     def __init__(self, n, masks, lead, triples):
@@ -24,14 +35,7 @@ class PySystem:
 
 
 def prepare(n, masks):
-    """Build a search handle from block bitmasks in canonical order.
-
-    ``lead[p]`` lists the ``(mask, id)`` pairs of the blocks whose least
-    point is ``p``, in canonical order: the only blocks that can cover
-    ``p`` inside a point set whose least point is ``p``.  ``triples``
-    holds each block's points in ascending order, for the scan and the
-    packing search.
-    """
+    """Build a search handle from block bitmasks in canonical order."""
     lead = [[] for _ in range(n)]
     triples = []
     for bid, m in enumerate(masks):

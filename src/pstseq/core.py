@@ -128,8 +128,10 @@ class TripleSystem:
     ``pair_index`` maps each covered unordered pair to its unique block.
     The constructor checks the pairs with one adjacency bitmask per
     point and raises PairInTwoBlocks, naming both blocks, at the first
-    pair covered twice.  ``pair_index`` is built on first use: only the
-    pair lookups ``block_of_pair`` and ``is_block`` read it.
+    pair covered twice; the same loop builds the kernel handle.
+    ``pair_index`` is built on first use: only the pair lookups
+    ``block_of_pair`` and ``is_block`` read it.  So is the label-to-index
+    map, which only ``index_of`` reads.
     """
 
     __slots__ = ("n", "blocks", "labels", "block_masks", "_pair_index", "_kernel", "_label_to_index")
@@ -140,8 +142,11 @@ class TripleSystem:
         self.labels = labels
         adj = [0] * n
         masks = []
+        lead = [[] for _ in range(n)]
+        triples = []
         for i, blk in enumerate(blocks):
-            a, b, c = blk.points
+            pts = blk.points
+            a, b, c = pts
             if adj[a] >> b & 1 or adj[a] >> c & 1 or adj[b] >> c & 1:
                 self._raise_pair_in_two_blocks(i)
             m = 1 << a | 1 << b | 1 << c
@@ -149,10 +154,14 @@ class TripleSystem:
             adj[b] |= m
             adj[c] |= m
             masks.append(m)
+            lead[a].append((m, i))
+            triples.append(pts)
         self.block_masks = tuple(masks)
         self._pair_index = None
-        self._kernel = _pykernels.prepare(n, self.block_masks)
-        self._label_to_index = {lab: i for i, lab in enumerate(labels)}
+        self._kernel = _pykernels.PySystem(
+            n, self.block_masks, tuple(map(tuple, lead)), tuple(triples)
+        )
+        self._label_to_index = None
 
     @property
     def pair_index(self) -> Mapping[tuple[int, int], Block]:
@@ -178,9 +187,10 @@ class TripleSystem:
     # -- label helpers -------------------------------------------------
 
     def index_of(self, label) -> int:
-        key = str(label)
+        if self._label_to_index is None:
+            self._label_to_index = {lab: i for i, lab in enumerate(self.labels)}
         try:
-            return self._label_to_index[key]
+            return self._label_to_index[str(label)]
         except KeyError:
             raise PointOutOfRange(f"unknown point label: {label!r}") from None
 
@@ -261,22 +271,50 @@ def _is_int_token(tok: str) -> bool:
     return tok.isdecimal() or (tok[:1] == "-" and tok[1:].isdecimal())
 
 
-def _all_index_tokens(raw_blocks, n: int):
-    """Interpret tokens as dense indices when every one is an int in [0, n)."""
-    out = []
-    for triple in raw_blocks:
-        row = []
-        for v in triple:
-            if type(v) is not int:
-                if isinstance(v, str) and _is_int_token(v):
-                    v = int(v)
-                elif isinstance(v, bool) or not isinstance(v, int):
-                    return None
-            if not 0 <= v < n:
+def _index_token(v):
+    """``v`` as a point index by the integer-token rule, else None.
+
+    An ``int`` other than a ``bool`` is kept as it is; a ``str`` that
+    ``int`` reads as a signed decimal is converted.  The range is not
+    checked here.
+    """
+    if isinstance(v, int):
+        return None if isinstance(v, bool) else v
+    if isinstance(v, str) and _is_int_token(v):
+        return int(v)
+    return None
+
+
+def _index_rows(triples, n: int):
+    """Sorted index rows when every token is an index in [0, n), else None.
+
+    One pass: each row is converted, sorted with at most three compares
+    and range-checked.  The first row with a repeated point raises
+    RepeatedPointInBlock, but only once every token has proved an
+    index: next to a row of labels the same tokens are distinct labels.
+    """
+    rows = []
+    repeated = None
+    for t in triples:
+        a, b, c = t
+        if type(a) is not int or type(b) is not int or type(c) is not int:
+            a, b, c = map(_index_token, t)
+            if a is None or b is None or c is None:
                 return None
-            row.append(v)
-        out.append(row)
-    return out
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        if a < 0 or c >= n:
+            return None
+        if (a == b or b == c) and repeated is None:
+            repeated = t
+        rows.append((a, b, c))
+    if repeated is not None:
+        raise RepeatedPointInBlock(f"block repeats a point: {repeated!r}")
+    return rows
 
 
 def validate_system(n: int, raw_blocks: Iterable) -> TripleSystem:
@@ -288,9 +326,10 @@ def validate_system(n: int, raw_blocks: Iterable) -> TripleSystem:
     never named get synthetic labels.  Raises RepeatedPointInBlock,
     PairInTwoBlocks or PointOutOfRange on malformed input.
 
-    The checks run on plain ``(a, b, c)`` tuples: every row is sorted
-    and checked for a repeated point, then the rows are sorted and
-    checked for a block listed twice, and only then are the Blocks
+    Index tokens are read in one pass (``_index_rows``); the first token
+    that is not an index sends the rows to the label path.  Either path
+    gives sorted rows with no repeated point; then the rows are sorted
+    and checked for a block listed twice, and only then are the Blocks
     built, without repeating those checks.
     """
     if not _is_plain_int(n):
@@ -302,10 +341,9 @@ def validate_system(n: int, raw_blocks: Iterable) -> TripleSystem:
         if len(t) != 3:
             raise RepeatedPointInBlock(f"block must have exactly 3 points: {t!r}")
 
-    indexed = _all_index_tokens(triples, n)
-    if indexed is not None:
-        labels = tuple(str(i) for i in range(n))
-        index_triples = indexed
+    rows = _index_rows(triples, n)
+    if rows is not None:
+        labels = tuple(map(str, range(n)))
     else:
         label_map: dict[str, int] = {}
         index_triples = []
@@ -333,13 +371,12 @@ def validate_system(n: int, raw_blocks: Iterable) -> TripleSystem:
                 labels_list[i] = synth
                 used.add(synth)
         labels = tuple(labels_list)
-
-    rows = []
-    for t, row in zip(triples, index_triples):
-        a, b, c = sorted(row)
-        if a == b or b == c:
-            raise RepeatedPointInBlock(f"block repeats a point: {t!r}")
-        rows.append((a, b, c))
+        rows = []
+        for t, row in zip(triples, index_triples):
+            a, b, c = sorted(row)
+            if a == b or b == c:
+                raise RepeatedPointInBlock(f"block repeats a point: {t!r}")
+            rows.append((a, b, c))
     rows.sort()
     for prev, row in zip(rows, rows[1:]):
         if prev == row:
@@ -380,8 +417,8 @@ def _checked_budget(budget: Optional[int]) -> Optional[int]:
 def _mask_of(points: Iterable[int], system: TripleSystem) -> int:
     m = 0
     for p in points:
-        if not 0 <= p < system.n:
-            raise PointOutOfRange(f"point index {p} outside [0, {system.n})")
+        if not (_is_plain_int(p) and 0 <= p < system.n):
+            raise PointOutOfRange(f"point index {p!r} outside [0, {system.n})")
         m |= 1 << p
     return m
 

@@ -20,12 +20,17 @@ class CyclicBase:
     base_blocks: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        if not _is_plain_int(self.modulus):
+            raise ValueError(f"modulus must be an integer, got {self.modulus!r}")
         if self.modulus < 3:
             raise ValueError(f"modulus must be at least 3, got {self.modulus}")
         normalized = []
         for b in self.base_blocks:
             if len(b) != 3:
                 raise ValueError(f"base block {b} must have 3 residues, got {len(b)}")
+            for x in b:
+                if not _is_plain_int(x):
+                    raise ValueError(f"residue must be an integer, got {x!r}")
             res = tuple(sorted(x % self.modulus for x in b))
             if len(set(res)) != 3:
                 raise ValueError(f"base block {b} has repeated residues mod {self.modulus}")
@@ -82,6 +87,8 @@ def friendship(m: int) -> TripleSystem:
 
     Every two blocks meet at the hub, so no two blocks are disjoint.
     """
+    if not _is_plain_int(m):
+        raise ValueError(f"triangle count must be an integer, got {m!r}")
     if m < 1:
         raise SizeTooSmall(f"need at least one triangle, got {m}")
     n, blocks = _chain_labels([m])
@@ -98,6 +105,9 @@ def friendship_chain(sizes: Seq[int]) -> TripleSystem:
     hub, so one per component is the ceiling).
     """
     sizes = list(sizes)
+    for s in sizes:
+        if not _is_plain_int(s):
+            raise ValueError(f"component size must be an integer, got {s!r}")
     if not sizes:
         raise SizeTooSmall("need at least one component")
     if len(sizes) >= 2 and any(s < 2 for s in sizes):
@@ -110,6 +120,8 @@ def friendship_chain(sizes: Seq[int]) -> TripleSystem:
 
 def johnson_schonheim(n: int) -> int:
     """Maximum possible number of blocks in a system of order n."""
+    if not _is_plain_int(n):
+        raise ValueError(f"order must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
     bound = (n * ((n - 1) // 2)) // 3

@@ -29,11 +29,13 @@ from .core import (
     TripleSystem,
     _checked_budget,
     _checked_permutation,
+    _is_plain_int,
     is_admissible,
 )
 from .errors import (
     BudgetExhausted,
     CertificateFailure,
+    InputError,
     NoAdmissibleLabeling,
     NotSequenceableSystem,
     PointOutOfRange,
@@ -128,9 +130,12 @@ def decide(
     prefix gives Sequenceable, an exhausted tree gives NotSequenceable,
     a spent budget gives Unknown.  ``exhaust`` keeps
     walking after the first witness so the full tree gets counted.
-    A budget other than None or a non-negative int raises ``InputError``.
+    A budget other than None or a non-negative int, or an ``exhaust``
+    other than a bool, raises ``InputError``.
     """
     _checked_budget(budget)
+    if not isinstance(exhaust, bool):
+        raise InputError(f"exhaust must be a bool, got {exhaust!r}")
     witness, nodes, exhausted = _pykernels.decide_search(system._kernel, budget, exhaust)
     if witness is not None:
         seq = _verified(system, witness, "decide")
@@ -152,7 +157,8 @@ def _construct_nu_le1(system: TripleSystem) -> Sequence:
         entries = system.points()
     elif len(blocks) == 1:
         p1, p2, p3 = blocks[0].points
-        extras = [p for p in system.points() if p not in blocks[0]]
+        covered = system.block_masks[0]
+        extras = [p for p in system.points() if not covered >> p & 1]
         entries = [p1, p2, extras[0], p3, *extras[1:]]
     else:
         # Some other block meets b1 in exactly one point; anchor on it.
@@ -160,7 +166,9 @@ def _construct_nu_le1(system: TripleSystem) -> Sequence:
         shared = next(p for p in b2 if p in b1)
         two, three = sorted(p for p in b1 if p != shared)
         a_pt, b_pt = sorted(p for p in b2 if p != shared)
-        pool = [p for p in system.points() if p not in b1 and p not in (a_pt, b_pt)]
+        # b2 is the shared point plus a_pt and b_pt.
+        covered = system.block_masks[0] | system.block_masks[1]
+        pool = [p for p in system.points() if not covered >> p & 1]
         if pool:
             entries = [shared, pool[0], two, three, a_pt, b_pt, *pool[1:]]
         else:
@@ -195,7 +203,10 @@ def _first_admissible(system, blocks, pattern) -> Optional[list[int]]:
     and appends the rest.  Returns the entries, or None when no
     labeling is admissible.
     """
-    outside = [p for p in system.points() if not any(p in blk for blk in blocks)]
+    covered = 0
+    for blk in blocks:
+        covered |= blk.mask
+    outside = [p for p in system.points() if not covered >> p & 1]
     k = len(pattern) - 3 * len(blocks)
     extras, tail = outside[:k], outside[k:]
     for roles in itertools.permutations(blocks):
@@ -406,6 +417,8 @@ def interleave_large(system: TripleSystem, k: int) -> Sequence:
     swapping an adjacent outside point, retrying with reseeded outside
     orders until the scan finds no segment or the attempt budget runs out.
     """
+    if not _is_plain_int(k):
+        raise ValueError(f"packing number must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"interleaving needs packing number >= 1, got {k}")
     result = max_disjoint_blocks(system)

@@ -1,5 +1,6 @@
 """System validation, partitioning, and admissibility semantics."""
 
+import enum
 import itertools
 
 import pytest
@@ -166,6 +167,74 @@ def _assert_validates_like_reference(n, rows):
     _assert_built_like_reference(validate_system(n, rows), n, index_rows, labels)
 
 
+class _Point(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+    SEVEN = 7
+
+
+class _Token(str):
+    pass
+
+
+_TOKEN = st.one_of(
+    st.integers(-1, 10),
+    st.sampled_from(list(_Point)),
+    st.booleans(),
+    st.sampled_from(["7", "007", "\u0663", "-0", "-1", "+1", "1", "01", "2", "x"]),
+    st.sampled_from(["3", "05", "-0", "y"]).map(_Token),
+)
+
+
+def _reference_error(n, rows):
+    """(type, message) of the error the documented rules raise, or None.
+
+    Rows are checked in order for a repeated point once the tokens are
+    known to be indices or labels, then the sorted rows for a block
+    listed twice, then the blocks in order for a pair already covered.
+    """
+    rows = [tuple(row) for row in rows]
+    tokens = [tok for row in rows for tok in row]
+    if all(
+        not isinstance(tok, bool)
+        and (_is_int_token(tok) and 0 <= int(tok) < n if isinstance(tok, str)
+             else isinstance(tok, int) and 0 <= tok < n)
+        for tok in tokens
+    ):
+        values = [tuple(int(t) if isinstance(t, str) else t for t in row) for row in rows]
+    else:
+        keys = {}
+        for tok in tokens:
+            keys.setdefault(str(tok), len(keys))
+        if len(keys) > n:
+            return PointOutOfRange, f"{len(keys)} distinct labels exceed the declared order {n}"
+        values = [tuple(keys[str(t)] for t in row) for row in rows]
+    for row, vals in zip(rows, values):
+        if len(set(vals)) < 3:
+            return RepeatedPointInBlock, f"block repeats a point: {row!r}"
+    blocks = sorted(tuple(sorted(vals)) for vals in values)
+    for prev, blk in zip(blocks, blocks[1:]):
+        if prev == blk:
+            return PairInTwoBlocks, f"block listed twice: {blk}"
+    labels, _ = _reference_labels(n, rows)
+
+    def names(blk):
+        return tuple(labels[p] for p in blk)
+
+    owner = {}
+    for blk in blocks:
+        for a, b in itertools.combinations(blk, 2):
+            if (a, b) in owner:
+                return PairInTwoBlocks, (
+                    f"pair {{{labels[a]}, {labels[b]}}} lies in two blocks: "
+                    f"{names(owner[a, b])} and {names(blk)}"
+                )
+        for pair in itertools.combinations(blk, 2):
+            owner[pair] = blk
+    return None
+
+
 class TestBuildPath:
     def test_random_systems(self):
         for n in range(31):
@@ -196,6 +265,10 @@ class TestBuildPath:
         _assert_validates_like_reference(9, [(0, "1", 2), (3, 4, 5), ("8", 7, 6)])
         _assert_validates_like_reference(9, [(0, "1", 2), (3, 4, 9), ("a", 7, 6)])
         _assert_validates_like_reference(5, [(True, 2, 3)])
+        # As indices these repeat point 1; next to a row of labels they
+        # are three distinct labels.
+        _assert_validates_like_reference(6, [("1", "01", "2"), ("a", "b", "c")])
+        _assert_validates_like_reference(6, [("1", "01", "2"), (0, 1, 9)])
 
     @pytest.mark.parametrize("n,bases", [
         (13, ((0, 1, 4), (0, 2, 7))),
@@ -251,16 +324,35 @@ class TestBuildPath:
         (4, [(0, 1, 2), (3, 4, 5)], PointOutOfRange,
          "6 distinct labels exceed the declared order 4"),
         (-1, [], PointOutOfRange, "order must be nonnegative, got -1"),
+        (6, [("1", "01", "2")], RepeatedPointInBlock, "block repeats a point: ('1', '01', '2')"),
+        (6, [(3, 4, 5), ("1", "01", "2")], RepeatedPointInBlock,
+         "block repeats a point: ('1', '01', '2')"),
+        (4, [("1", "01", "2"), ("a", "b", "c")], PointOutOfRange,
+         "6 distinct labels exceed the declared order 4"),
     ], ids=[
         "repeat-before-duplicate", "repeat-after-duplicate", "repeated-label", "two-points",
         "duplicate", "shared-ab", "shared-ac", "shared-bc", "shared-unsorted",
         "shared-labels", "too-many-labels", "negative-order",
+        "index-repeat-alone", "index-repeat-among-indices", "index-repeat-among-labels",
     ])
     def test_malformed_input(self, n, rows, error, message):
         with pytest.raises(error) as err:
             validate_system(n, rows)
         assert type(err.value) is error
         assert str(err.value) == message
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 10), st.lists(st.tuples(_TOKEN, _TOKEN, _TOKEN), max_size=6))
+    def test_mixed_rows_match_the_reference(self, n, rows):
+        expected = _reference_error(n, rows)
+        if expected is None:
+            _assert_validates_like_reference(n, rows)
+        else:
+            error, message = expected
+            with pytest.raises(error) as err:
+                validate_system(n, rows)
+            assert type(err.value) is error
+            assert str(err.value) == message
 
 
 class TestPartitionIntoBlocks:
@@ -278,6 +370,12 @@ class TestPartitionIntoBlocks:
         assert {b.points for b in witness.parts} == {
             (0, 2, 7), (1, 3, 8), (5, 6, 9), (4, 10, 12),
         }
+
+    @pytest.mark.parametrize("point", [True, 1.0])
+    def test_non_integer_point_rejected(self, point):
+        system = validate_system(9, [(0, 1, 2)])
+        with pytest.raises(PointOutOfRange, match=f"point index {point!r} outside"):
+            partition_into_blocks([point, 0, 2], system)
 
     def test_witness_union_is_exact(self):
         rest = [p for p in range(13) if p != 11]

@@ -19,6 +19,7 @@ from pstseq import (
     cyclic_system,
     friendship,
     friendship_chain,
+    interleave_large,
     johnson_schonheim,
     max_disjoint_blocks,
     random_system,
@@ -265,3 +266,22 @@ class TestTripleTable:
 def test_random_system_non_integer_arguments_rejected(n, target):
     with pytest.raises(ValueError, match="must be integers"):
         random_system(n, target, 0)
+
+
+@pytest.mark.parametrize("call,value", [
+    (johnson_schonheim, 9.5),
+    (johnson_schonheim, True),
+    (johnson_schonheim, "9"),
+    (friendship, "3"),
+    (lambda v: friendship_chain([2, v]), "2"),
+    (lambda v: CyclicBase(v, ((0, 1, 3),)), "7"),
+    (lambda v: CyclicBase(7, ((0, v, 3),)), 1.0),
+    (lambda v: CyclicBase(7, ((0, v, 3),)), True),
+    (lambda v: interleave_large(friendship_chain([2, 2]), v), "2"),
+], ids=[
+    "bound-float", "bound-bool", "bound-str", "friendship", "chain", "cyclic",
+    "residue-float", "residue-bool", "interleave",
+])
+def test_non_integer_size_rejected(call, value):
+    with pytest.raises(ValueError, match="must be an integer, got " + re.escape(repr(value))):
+        call(value)

@@ -14,6 +14,15 @@ def test_prepare_returns_pure_kernels():
     assert pstseq.backend_name() == "pure"
 
 
+def test_system_handle_matches_prepare(corpus_nu_le3):
+    # ``TripleSystem`` builds its handle in its pair-check loop; from the
+    # same masks ``prepare`` must build the same fields.
+    for system in corpus_nu_le3 + [random_system(70, 8, 1), random_system(0, 0, 0)]:
+        handle = pure.prepare(system.n, system.block_masks)
+        for field in pure.PySystem.__slots__:
+            assert getattr(handle, field) == getattr(system._kernel, field), field
+
+
 def test_pure_supports_arbitrary_order():
     system = random_system(70, 8, 1)
     handle = pure.prepare(system.n, system.block_masks)

@@ -20,7 +20,13 @@ from pstseq import (
     random_system,
     validate_system,
 )
-from pstseq.errors import InputError, OrderTooSmall, PartContainsWholeBlock, WrongCardinality
+from pstseq.errors import (
+    InputError,
+    OrderTooSmall,
+    PartContainsWholeBlock,
+    PointOutOfRange,
+    WrongCardinality,
+)
 from conftest import hub_system, oracle_max_packing, oracle_partitions
 
 STS13 = cyclic_system(CyclicBase(13, ((0, 1, 4), (0, 2, 7))))
@@ -266,6 +272,12 @@ class TestIsGoodSet:
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmall, match="good sets need order >= 9, got 8"):
             is_good_set(validate_system(8, [[0, 1, 2]]), [])
+
+    @pytest.mark.parametrize("point", [True, 9.0])
+    def test_non_integer_point_rejected(self, point):
+        system = validate_system(11, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
+        with pytest.raises(PointOutOfRange, match=f"point index {point!r} outside"):
+            is_good_set(system, [point, 10])
 
     def test_repeated_point_rejected(self):
         system = validate_system(11, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])

@@ -86,6 +86,11 @@ class TestDecide:
         with pytest.raises(InputError, match="integer"):
             decide(validate_system(6, [[0, 1, 2]]), budget=budget)
 
+    @pytest.mark.parametrize("exhaust", ["yes", 1, None])
+    def test_non_bool_exhaust_rejected(self, exhaust):
+        with pytest.raises(InputError, match="exhaust must be a bool"):
+            decide(validate_system(6, [[0, 1, 2]]), exhaust=exhaust)
+
     def test_three_disjoint_blocks_order9(self):
         system = validate_system(9, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
         decision = decide(system)
