@@ -137,17 +137,27 @@ _MEMO_CAP = 1 << 16
 def decide_search(sys, budget=None, exhaust=False):
     """Depth-first search for an admissible permutation.
 
-    Extends prefixes by unused points in ascending order.  Two kinds of
-    proper segment are tested at each new position, and any one that
-    partitions into blocks prunes the branch: the segments ending at the
-    new entry whose length is a multiple of 3, and the suffix after it.
-    The suffix is already fixed as a point set (the unplaced points), so
-    when its length is a nonzero multiple of 3 and it partitions, every
-    completion is inadmissible.  Only subtrees without an admissible leaf
-    are cut, so the walk order and the first witness are those of the
-    search without the suffix test.  Returns (witness or None, nodes,
-    exhausted).  With ``exhaust`` the walk continues past the first
-    witness until the tree (or budget) is done.
+    The walk keeps its place in two stacks of bitmasks.  ``pm[i]`` holds
+    the points of the first ``i`` entries and ``untried[i]`` the points
+    not yet tried at position ``i``; the top of each stack is the
+    position being filled.  The next candidate is the least bit of
+    ``untried``, so unused points are tried in ascending order.  A
+    position with nothing left to try pops both stacks, and a candidate
+    that survives the cut tests pushes its prefix and the points still
+    unplaced.  The witness is read off the differences of consecutive
+    ``pm`` entries.
+
+    Each candidate counts one node, after the budget check.  Two kinds
+    of proper segment are tested, and any one that partitions into
+    blocks cuts the candidate: first the segments ending at the new
+    entry whose length is a multiple of 3, shortest first, then the
+    suffix after it.  The suffix is already fixed as a point set (the
+    unplaced points), so when its length is a nonzero multiple of 3 and
+    it partitions, every completion is inadmissible.  Only subtrees
+    without an admissible leaf are cut, so the walk order and the first
+    witness are those of the search without the suffix test.  Returns
+    (witness or None, nodes, exhausted).  With ``exhaust`` the walk
+    continues past the first witness until the tree (or budget) is done.
 
     Many segments repeat as point sets across nodes, so each call keeps
     a memo of tested masks (mask -> partitions); a miss calls
@@ -157,11 +167,11 @@ def decide_search(sys, budget=None, exhaust=False):
     memo alters neither the walk order, the node count nor the witness.
     """
     n = sys.n
+    if n == 0:
+        return [], 0, True
     full = (1 << n) - 1
-    entries = [0] * n
-    pm = [0] * (n + 1)
-    cand = [0] * (n + 1)
-    used = 0
+    pm = [0]
+    untried = [full]
     nodes = 0
     witness = None
     memo = {}
@@ -175,53 +185,37 @@ def decide_search(sys, budget=None, exhaust=False):
             hit = memo[mask] = can_partition(sys, mask)
         return hit
 
-    def segments_ok(pos):
-        top = pm[pos + 1]
-        length = 3
-        while length <= pos + 1 and length < n:
-            if partitions(top ^ pm[pos + 1 - length]):
-                return False
-            length += 3
-        rest = n - 1 - pos
-        return not (rest and rest % 3 == 0 and partitions(full ^ top))
-
-    if n == 0:
-        return [], nodes, True
-
-    pos = 0
-    while True:
-        p = cand[pos]
-        while p < n and (used >> p) & 1:
-            p += 1
-        if p >= n:
-            if pos == 0:
-                return witness, nodes, True
-            pos -= 1
-            q = entries[pos]
-            used &= ~(1 << q)
-            cand[pos] = q + 1
+    while untried:
+        left = untried[-1]
+        if not left:
+            untried.pop()
+            pm.pop()
             continue
         if budget is not None and nodes >= budget:
             return witness, nodes, False
         nodes += 1
-        pm[pos + 1] = pm[pos] | (1 << p)
-        if not segments_ok(pos):
-            cand[pos] = p + 1
+        bit = left & -left
+        untried[-1] = left ^ bit
+        pos = len(pm) - 1
+        top = pm[pos] | bit
+        rest = n - 1 - pos
+        # segments top ^ pm[k] of length 3, 6, ...; at a leaf k = 0 is
+        # the whole permutation, not a proper segment
+        low = 0 if rest else 1
+        k = pos - 2
+        while k >= low and not partitions(top ^ pm[k]):
+            k -= 3
+        if k >= low or (rest and rest % 3 == 0 and partitions(full ^ top)):
             continue
-        entries[pos] = p
-        used |= 1 << p
-        pos += 1
-        if pos == n:
-            if witness is None:
-                witness = entries.copy()
-            if not exhaust:
-                return witness, nodes, False
-            pos -= 1
-            q = entries[pos]
-            used &= ~(1 << q)
-            cand[pos] = q + 1
-        else:
-            cand[pos] = 0
+        if rest:
+            pm.append(top)
+            untried.append(full ^ top)
+            continue
+        if witness is None:
+            witness = [(b ^ a).bit_length() - 1 for a, b in zip(pm, pm[1:] + [top])]
+        if not exhaust:
+            return witness, nodes, False
+    return witness, nodes, True
 
 
 def max_packing(sys, budget=None):

@@ -274,12 +274,12 @@ def _is_int_token(tok: str) -> bool:
 def _index_token(v):
     """``v`` as a point index by the integer-token rule, else None.
 
-    An ``int`` other than a ``bool`` is kept as it is; a ``str`` that
-    ``int`` reads as a signed decimal is converted.  The range is not
-    checked here.
+    An ``int`` other than a ``bool`` becomes a plain ``int`` (an
+    ``IntEnum`` member gives its value); a ``str`` that ``int`` reads as
+    a signed decimal is converted.  The range is not checked here.
     """
     if isinstance(v, int):
-        return None if isinstance(v, bool) else v
+        return None if isinstance(v, bool) else int(v)
     if isinstance(v, str) and _is_int_token(v):
         return int(v)
     return None

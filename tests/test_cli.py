@@ -95,6 +95,23 @@ class TestValidateAndGen:
         code, out2, _ = run(capsys, "gen", "random", "--n", "12", "--blocks", "4", "--seed", "7")
         assert out1 == out2
 
+    def test_gen_friendship(self, capsys):
+        code, out, err = run(capsys, "gen", "friendship", "--m", "3")
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == "# gen friendship --m 3"
+        assert formats.parse_system_text(out) == pstseq.friendship(3)
+
+    def test_gen_random_json_to_stdout(self, capsys):
+        code, out, err = run(capsys, "gen", "random", "--n", "7", "--blocks", "3", "--seed", "2",
+                             "--json")
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["outcome"] == "generated"
+        assert report["details"] == {
+            "achieved_blocks": 3,
+            "system": formats.system_to_json_obj(pstseq.random_system(7, 3, 2)),
+        }
+
     def test_gen_random_bound_error(self, capsys):
         code, _, err = run(capsys, "gen", "random", "--n", "10", "--blocks", "14", "--seed", "0")
         assert code == 3
@@ -334,6 +351,13 @@ class TestCertificateAndHunt:
         assert digest.hexdigest() == (
             "313bbfc0a0349a85019471e491159f9f05e099330970489452bc46b7fb65b791"
         )
+
+    def test_hunt_single_seed(self, capsys):
+        argv = ("hunt", "--order", "9", "--blocks", "4", "--seeds")
+        code, out, _ = run(capsys, *argv, "5")
+        assert code == 0
+        assert [json.loads(line)["seed"] for line in out.splitlines()] == [5]
+        assert run(capsys, *argv, "5..5") == (code, out, "")
 
     def test_hunt_rejects_empty_seed_range(self, capsys):
         code, out, err = run(capsys, "hunt", "--order", "9", "--seeds", "5..3")

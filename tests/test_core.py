@@ -12,7 +12,9 @@ from pstseq import (
     CyclicBase,
     Sequence,
     _pykernels,
+    construct,
     cyclic_system,
+    decide,
     formats,
     inadmissible_segments,
     is_admissible,
@@ -160,6 +162,7 @@ def _assert_built_like_reference(system, n, index_rows, labels):
     for blk in system.blocks:
         assert type(blk) is Block and type(blk.points) is tuple
         assert blk == Block(blk.points) and hash(blk) == hash(Block(blk.points))
+        assert all(type(p) is int for p in blk.points)
 
 
 def _assert_validates_like_reference(n, rows):
@@ -202,7 +205,7 @@ def _reference_error(n, rows):
              else isinstance(tok, int) and 0 <= tok < n)
         for tok in tokens
     ):
-        values = [tuple(int(t) if isinstance(t, str) else t for t in row) for row in rows]
+        values = [tuple(int(t) for t in row) for row in rows]
     else:
         keys = {}
         for tok in tokens:
@@ -302,6 +305,17 @@ class TestBuildPath:
             ]
             _assert_built_like_reference(sub, len(pts), rows,
                                          tuple(system.labels[p] for p in pts))
+
+    def test_int_enum_tokens_give_plain_int_points(self):
+        system = validate_system(5, [(_Point.ZERO, 1, _Point.TWO)])
+        seq = construct(system)
+        assert seq.entries == (0, 1, 3, 2, 4)
+        points = [p for blk in system.blocks for p in blk.points]
+        points += [p for row in system._kernel.triples for p in row]
+        points += seq.entries
+        points += decide(system).witness.entries
+        assert len(points) == 16
+        assert all(type(p) is int for p in points)
 
     @pytest.mark.parametrize("n,rows,error,message", [
         (5, [(1, 1, 2), (0, 3, 4), (0, 3, 4)], RepeatedPointInBlock,

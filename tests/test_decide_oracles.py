@@ -63,17 +63,19 @@ def _exact_cover(target, blocks):
     return None
 
 
-def _reference_search(n, blocks, budget):
+def _reference_search(n, blocks, budget, exhaust=False):
     """(witness, nodes, exhausted) of a plain recursive walk, no memo.
 
     Candidates are tried in ascending order and each one counts a node
     before the budget is checked again; a candidate is cut when a
     segment ending at it (length a multiple of 3, below n) or the set of
     points still unplaced (size a nonzero multiple of 3) splits into
-    disjoint blocks.
+    disjoint blocks.  With ``exhaust`` the first witness is kept and the
+    walk goes on through the rest of the tree.
     """
     sets = [frozenset(b) for b in blocks]
     perm = []
+    found = []
     nodes = 0
 
     class Spent(Exception):
@@ -90,7 +92,9 @@ def _reference_search(n, blocks, budget):
     def walk():
         nonlocal nodes
         if len(perm) == n:
-            return True
+            if not found:
+                found.append(list(perm))
+            return not exhaust
         for p in range(n):
             if p in perm:
                 continue
@@ -104,10 +108,10 @@ def _reference_search(n, blocks, budget):
         return False
 
     try:
-        found = walk()
+        stopped = walk()
     except Spent:
-        return None, nodes, False
-    return (list(perm), nodes, False) if found else (None, nodes, True)
+        return (found[0] if found else None), nodes, False
+    return (found[0] if found else None), nodes, not stopped
 
 
 def _small_corpus():
@@ -163,6 +167,35 @@ def test_cyclic_sts_relabelings_are_certified_negatives(n):
             assert cover is not None, vertex
             assert sum(len(b) for b in cover) == n - 1
             assert frozenset().union(*cover) == everything - {vertex}
+
+
+@pytest.mark.parametrize("exhaust", [False, True])
+@pytest.mark.parametrize("budget", [None, 0, 1, 7])
+def test_search_matches_the_reference_walk(budget, exhaust):
+    # An exhaustive walk with no budget visits about 10**5 nodes on a
+    # sparse order-8 system, so that one case stops at order 7.
+    seen = set()
+    kinds = set()
+    for system in _small_corpus():
+        key = (system.n, system.block_masks)
+        if key in seen or (budget is None and exhaust and system.n > 7):
+            continue
+        seen.add(key)
+        blocks = [b.points for b in system.blocks]
+        handle = _pykernels.prepare(system.n, system.block_masks)
+        got = _pykernels.decide_search(handle, budget, exhaust)
+        assert got == _reference_search(system.n, blocks, budget, exhaust), blocks
+        kinds.add((got[0] is not None, got[2]))
+    # (witness found, exhausted): every corpus system is sequenceable,
+    # and a budget of 7 stops some walks before their first witness and
+    # some after it
+    expected = {
+        None: {(True, exhaust)},
+        0: {(False, False)},
+        1: {(False, False)},
+        7: {(False, False), (True, False)},
+    }
+    assert kinds == expected[budget]
 
 
 def test_memo_cleared_mid_search_changes_nothing(monkeypatch):

@@ -29,9 +29,11 @@ from pstseq.errors import (
     NoAdmissibleLabeling,
     PointOutOfRange,
     PstseqError,
+    RepairFailed,
     ResidualNotAdmissible,
 )
-from pstseq.sequencer import _repair_three_segments
+from pstseq import sequencer
+from pstseq.sequencer import _interleave_order, _repair_three_segments
 from conftest import hub_system, padded
 
 STS13 = cyclic_system(CyclicBase(13, ((0, 1, 4), (0, 2, 7))))
@@ -44,6 +46,13 @@ class TestDecide:
         decision = decide(system)
         assert decision.outcome is Outcome.SEQUENCEABLE
         assert decision.witness.entries == (0, 1, 2, 3, 4)
+
+    def test_order_zero(self):
+        decision = decide(validate_system(0, []))
+        assert decision.outcome is Outcome.SEQUENCEABLE
+        assert decision.witness.entries == ()
+        assert decision.nodes_explored == 0
+        assert decision.exhausted
 
     def test_two_disjoint_blocks_order6(self):
         system = validate_system(6, [[0, 1, 2], [3, 4, 5]])
@@ -363,6 +372,51 @@ class TestInterleave:
     def test_construct_dispatches_to_interleave(self):
         system = padded(friendship_chain([2, 2, 2, 2]), 55)
         assert is_admissible(construct(system), system)
+
+    # Below order 18k - 5 a gap between two packing blocks can hold fewer
+    # than five outside points, and a 6-segment across it can split.  In
+    # both systems below the unshuffled attempt places 2 x x x x 3 across
+    # the gap between blocks (0, 1, 2) and (3, 4, 5), with (2, x, x) and
+    # (3, x, x) blocks of the system: the repair fixes only 3-segments,
+    # so attempt 0 fails and the first reseed succeeds.
+    RESEED_CASES = [
+        (
+            validate_system(55, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11),
+                                 (2, 20, 21), (3, 22, 23)]),
+            4,
+            [2, 20, 21, 22, 23, 3],
+            (0, 37, 14, 23, 13, 1, 52, 39, 17, 21, 2, 29, 44, 41, 32, 3, 51, 33, 27,
+             35, 4, 22, 15, 30, 50, 5, 54, 26, 34, 47, 6, 46, 31, 45, 24, 7, 38, 53,
+             12, 49, 8, 18, 25, 36, 42, 9, 40, 43, 19, 28, 10, 16, 48, 20, 11),
+        ),
+        (
+            validate_system(25, [(0, 1, 2), (3, 4, 5), (2, 14, 15), (3, 16, 17)]),
+            2,
+            [2, 14, 15, 16, 17, 3],
+            (0, 17, 11, 23, 24, 1, 15, 6, 22, 7, 2, 21, 12, 16, 19, 3, 20, 18, 13, 9,
+             4, 14, 8, 10, 5),
+        ),
+    ]
+
+    @pytest.mark.parametrize("system, k, segment, expected", RESEED_CASES)
+    def test_first_reseed_is_pinned(self, system, k, segment, expected):
+        assert interleave_large(system, k).entries == expected
+        if k >= 4:  # construct's interleaving route
+            assert construct(system).entries == expected
+        assert is_admissible(expected, system)
+
+    @pytest.mark.parametrize("system, k, segment, expected", RESEED_CASES)
+    def test_unshuffled_attempt_splits_a_six_segment(self, system, k, segment, expected,
+                                                     monkeypatch):
+        packing = max_disjoint_blocks(system)
+        u_points = [p for blk in packing.witness for p in blk.points]
+        outside = sorted(set(range(system.n)) - set(u_points))
+        entries = _interleave_order(u_points, outside, 3 * k - 1)
+        assert entries[10:16] == segment
+        assert _repair_three_segments(system, entries, set(u_points)) is None
+        monkeypatch.setattr(sequencer, "REPAIR_ATTEMPTS", 1)
+        with pytest.raises(RepairFailed, match="in 1 seeded attempts"):
+            interleave_large(system, k)
 
 
 class TestSts13Certificate:
