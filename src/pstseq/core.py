@@ -12,7 +12,7 @@ validation, so instances are safe to share across threads or processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from typing import Iterable, Mapping, Optional
 
 from . import _pykernels
@@ -25,17 +25,62 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class Block:
-    """A block: three distinct points, stored in ascending order."""
+class _Record:
+    """Immutable record: ``==``, ``hash`` and ``repr`` over ``_fields``.
 
-    points: tuple[int, int, int]
+    A subclass names its compared fields, in ``repr`` order, in
+    ``_fields`` and writes every field straight into the instance
+    ``__dict__`` in its own ``__init__``.  Equality holds only between
+    instances of one class, and the hash is that of the tuple of field
+    values, as for a frozen dataclass.  Assignment and deletion raise
+    AttributeError; pickle and ``copy`` restore the ``__dict__`` without
+    calling ``__setattr__`` or ``__init__``.
+    """
 
-    def __post_init__(self):
-        if len(self.points) != 3 or len(set(self.points)) != 3:
-            raise RepeatedPointInBlock(f"not a triple of distinct points: {self.points}")
-        if tuple(sorted(self.points)) != self.points:
-            object.__setattr__(self, "points", tuple(sorted(self.points)))
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[f] for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        d = self.__dict__
+        inner = ", ".join(f"{f}={d[f]!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@functools.total_ordering
+class Block(_Record):
+    """A block: three distinct points, stored in ascending order.
+
+    Blocks order by their point tuples.
+    """
+
+    _fields = ("points",)
+
+    def __init__(self, points: tuple[int, int, int]):
+        if len(points) != 3 or len(set(points)) != 3:
+            raise RepeatedPointInBlock(f"not a triple of distinct points: {points}")
+        self.__dict__["points"] = tuple(sorted(points))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.points < other.points
+        return NotImplemented
 
     def __iter__(self):
         return iter(self.points)
@@ -52,19 +97,21 @@ class Block:
 def _sorted_block(points: tuple[int, int, int]) -> Block:
     """A Block from three distinct points already in ascending order.
 
-    Skips the checks of ``Block.__post_init__``: the caller has made
-    them on the plain tuple.
+    Skips the checks of ``Block.__init__``: the caller has made them on
+    the plain tuple.
     """
     blk = object.__new__(Block)
-    object.__setattr__(blk, "points", points)
+    blk.__dict__["points"] = points
     return blk
 
 
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(_Record):
     """A candidate witness: a permutation of all points of a system."""
 
-    entries: tuple[int, ...]
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[int, ...]):
+        self.__dict__["entries"] = entries
 
     def __iter__(self):
         return iter(self.entries)
@@ -76,19 +123,24 @@ class Sequence:
         return Sequence(tuple(reversed(self.entries)))
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(_Record):
     """Positions ``start .. start+length-1`` of a sequence."""
 
-    start: int
-    length: int
+    _fields = ("start", "length")
+
+    def __init__(self, start: int, length: int):
+        d = self.__dict__
+        d["start"] = start
+        d["length"] = length
 
 
-@dataclass(frozen=True)
-class PartitionWitness:
+class PartitionWitness(_Record):
     """Pairwise disjoint blocks whose union is the witnessed point set."""
 
-    parts: tuple[Block, ...]
+    _fields = ("parts",)
+
+    def __init__(self, parts: tuple[Block, ...]):
+        self.__dict__["parts"] = parts
 
     def point_set(self) -> frozenset[int]:
         return frozenset(p for blk in self.parts for p in blk)
@@ -289,18 +341,27 @@ def _index_rows(triples, n: int):
     """Sorted index rows when every token is an index in [0, n), else None.
 
     One pass: each row is converted, sorted with at most three compares
-    and range-checked.  The first row with a repeated point raises
-    RepeatedPointInBlock, but only once every token has proved an
-    index: next to a row of labels the same tokens are distinct labels.
+    and range-checked.  A row of three ``int`` or three unsigned decimal
+    ``str`` tokens (as read from a file) is converted inline; any other
+    row goes through ``_index_token``.  The first row with a repeated
+    point raises RepeatedPointInBlock, but only once every token has
+    proved an index: next to a row of labels the same tokens are
+    distinct labels.
     """
     rows = []
     repeated = None
     for t in triples:
         a, b, c = t
         if type(a) is not int or type(b) is not int or type(c) is not int:
-            a, b, c = map(_index_token, t)
-            if a is None or b is None or c is None:
-                return None
+            if (
+                type(a) is str and type(b) is str and type(c) is str
+                and a.isdecimal() and b.isdecimal() and c.isdecimal()
+            ):
+                a, b, c = int(a), int(b), int(c)
+            else:
+                a, b, c = map(_index_token, t)
+                if a is None or b is None or c is None:
+                    return None
         if a > b:
             a, b = b, a
         if b > c:

@@ -5,37 +5,36 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Sequence as Seq
 
-from .core import TripleSystem, _is_plain_int, _sorted_block, validate_system
+from .core import TripleSystem, _is_plain_int, _Record, _sorted_block, validate_system
 from .errors import DevelopmentCollision, PairInTwoBlocks, SizeTooSmall
 
 
-@dataclass(frozen=True)
-class CyclicBase:
+class CyclicBase(_Record):
     """Base blocks over Z_modulus, developed by the rotation x -> x+1."""
 
-    modulus: int
-    base_blocks: tuple[tuple[int, int, int], ...]
+    _fields = ("modulus", "base_blocks")
 
-    def __post_init__(self):
-        if not _is_plain_int(self.modulus):
-            raise ValueError(f"modulus must be an integer, got {self.modulus!r}")
-        if self.modulus < 3:
-            raise ValueError(f"modulus must be at least 3, got {self.modulus}")
+    def __init__(self, modulus: int, base_blocks: tuple[tuple[int, int, int], ...]):
+        if not _is_plain_int(modulus):
+            raise ValueError(f"modulus must be an integer, got {modulus!r}")
+        if modulus < 3:
+            raise ValueError(f"modulus must be at least 3, got {modulus}")
         normalized = []
-        for b in self.base_blocks:
+        for b in base_blocks:
             if len(b) != 3:
                 raise ValueError(f"base block {b} must have 3 residues, got {len(b)}")
             for x in b:
                 if not _is_plain_int(x):
                     raise ValueError(f"residue must be an integer, got {x!r}")
-            res = tuple(sorted(x % self.modulus for x in b))
+            res = tuple(sorted(x % modulus for x in b))
             if len(set(res)) != 3:
-                raise ValueError(f"base block {b} has repeated residues mod {self.modulus}")
+                raise ValueError(f"base block {b} has repeated residues mod {modulus}")
             normalized.append(res)
-        object.__setattr__(self, "base_blocks", tuple(normalized))
+        d = self.__dict__
+        d["modulus"] = modulus
+        d["base_blocks"] = tuple(normalized)
 
 
 def cyclic_system(base: CyclicBase) -> TripleSystem:

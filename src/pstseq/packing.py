@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import _pykernels
@@ -11,45 +10,60 @@ from .core import (
     PartitionWitness,
     TripleSystem,
     _checked_budget,
+    _Record,
     _mask_of,
     partition_into_blocks,
 )
 from .errors import InputError, OrderTooSmall, PartContainsWholeBlock, WrongCardinality
 
 
-@dataclass(frozen=True)
-class PackingResult:
+class PackingResult(_Record):
     """Maximum number of pairwise vertex-disjoint blocks plus a witness.
 
     ``exact`` is False only when a node budget stopped the search early,
     in which case ``nu`` is a lower bound.
     """
 
-    nu: int
-    witness: tuple[Block, ...]
-    nodes_explored: int
-    exact: bool
+    _fields = ("nu", "witness", "nodes_explored", "exact")
+
+    def __init__(self, nu: int, witness: tuple[Block, ...], nodes_explored: int, exact: bool):
+        d = self.__dict__
+        d["nu"] = nu
+        d["witness"] = witness
+        d["nodes_explored"] = nodes_explored
+        d["exact"] = exact
 
 
-@dataclass(frozen=True)
-class BadSetReport:
+class BadSetReport(_Record):
     """All sets M with |M| = n-9 whose complement splits into three blocks."""
 
-    m_size: int
-    bad_sets: tuple[tuple[int, ...], ...]
-    realizations: tuple[PartitionWitness, ...]
+    _fields = ("m_size", "bad_sets", "realizations")
+
+    def __init__(
+        self,
+        m_size: int,
+        bad_sets: tuple[tuple[int, ...], ...],
+        realizations: tuple[PartitionWitness, ...],
+    ):
+        d = self.__dict__
+        d["m_size"] = m_size
+        d["bad_sets"] = bad_sets
+        d["realizations"] = realizations
 
 
-@dataclass(frozen=True)
-class InducedMatching:
+class InducedMatching(_Record):
     """How a 9-set partition threads two disjoint blocks.
 
     Edge i joins the partition part i's point in the first block to its
     point in the second; the label is the part's third point.
     """
 
-    edges: tuple[tuple[int, int], ...]
-    labels: tuple[int, ...]
+    _fields = ("edges", "labels")
+
+    def __init__(self, edges: tuple[tuple[int, int], ...], labels: tuple[int, ...]):
+        d = self.__dict__
+        d["edges"] = edges
+        d["labels"] = labels
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -30,6 +29,7 @@ from .core import (
     _checked_budget,
     _checked_permutation,
     _is_plain_int,
+    _Record,
     is_admissible,
 )
 from .errors import (
@@ -59,48 +59,73 @@ class Outcome(str, Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(_Record):
     """Three-valued search verdict.
 
     A sequenceable decision carries a verified witness; a negative one
     is only issued when the search tree was exhausted.
     """
 
-    outcome: Outcome
-    witness: Optional[Sequence]
-    nodes_explored: int
-    exhausted: bool
-    budget_spent: int
+    _fields = ("outcome", "witness", "nodes_explored", "exhausted", "budget_spent")
+
+    def __init__(
+        self,
+        outcome: Outcome,
+        witness: Optional[Sequence],
+        nodes_explored: int,
+        exhausted: bool,
+        budget_spent: int,
+    ):
+        d = self.__dict__
+        d["outcome"] = outcome
+        d["witness"] = witness
+        d["nodes_explored"] = nodes_explored
+        d["exhausted"] = exhausted
+        d["budget_spent"] = budget_spent
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(_Record):
     """Role assignment of three disjoint blocks plus point labels."""
 
-    block_roles: tuple[Block, Block, Block]
-    assignment: dict[str, int]
-    sequence: Sequence
+    _fields = ("block_roles", "assignment", "sequence")
+
+    def __init__(
+        self,
+        block_roles: tuple[Block, Block, Block],
+        assignment: dict[str, int],
+        sequence: Sequence,
+    ):
+        d = self.__dict__
+        d["block_roles"] = block_roles
+        d["assignment"] = assignment
+        d["sequence"] = sequence
 
 
-@dataclass(frozen=True)
-class CertificateEntry:
-    vertex: int
-    exponent: int
-    blocks: tuple[Block, Block, Block, Block]
+class CertificateEntry(_Record):
+    _fields = ("vertex", "exponent", "blocks")
+
+    def __init__(self, vertex: int, exponent: int, blocks: tuple[Block, Block, Block, Block]):
+        d = self.__dict__
+        d["vertex"] = vertex
+        d["exponent"] = exponent
+        d["blocks"] = blocks
 
 
-@dataclass(frozen=True)
-class Sts13Certificate:
+class Sts13Certificate(_Record):
     """Per-vertex families of four disjoint blocks avoiding that vertex.
 
     Existence of such a family for every vertex means every permutation
     of the 13 points has partitionable 12-segments at both ends, so the
-    system has no admissible sequence.
+    system has no admissible sequence.  ``system`` is left out of ``==``,
+    ``hash`` and ``repr``.
     """
 
-    entries: tuple[CertificateEntry, ...]
-    system: TripleSystem = field(compare=False, repr=False)
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[CertificateEntry, ...], system: TripleSystem):
+        d = self.__dict__
+        d["entries"] = entries
+        d["system"] = system
 
 
 def _verified(system: TripleSystem, entries: Iterable[int], context: str) -> Sequence:

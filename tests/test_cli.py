@@ -458,21 +458,32 @@ class TestRepeatedMain:
         assert code == 0 and "order 9" in out
 
 
-def test_import_cli_skips_concurrent_futures():
-    # Every command pays the CLI's import time; none of them needs a
-    # process pool, so importing the CLI must not load one.
+def _modules_after_cli_import():
+    """Names in ``sys.modules`` once a fresh interpreter imports the CLI."""
     src = str(Path(pstseq.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = (
-        "import sys, pstseq.cli\n"
-        "assert 'concurrent.futures' not in sys.modules, 'loaded on import'\n"
-        "assert 'multiprocessing' not in sys.modules, 'loaded on import'\n"
-    )
+    code = "import sys, pstseq.cli\nprint(*sys.modules, sep='\\n')\n"
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
+    modules = set(result.stdout.split())
+    assert "pstseq.cli" in modules
+    return modules
+
+
+def test_import_cli_skips_concurrent_futures():
+    # Every command pays the CLI's import time; none of them needs a
+    # process pool, so importing the CLI must not load one.
+    assert not _modules_after_cli_import() & {"concurrent.futures", "multiprocessing"}
+
+
+def test_import_cli_skips_dataclasses():
+    # The records are plain classes: importing ``dataclasses`` (and the
+    # ``inspect`` it loads) and building dataclasses would add about a
+    # third to the CLI's import time.
+    assert not _modules_after_cli_import() & {"dataclasses", "inspect"}
 
 
 def _parser_tree(parser):
