@@ -5,45 +5,15 @@ vertex-disjoint blocks, the segment scan behind admissibility checking,
 the depth-first sequence search, and the disjoint-block
 branch-and-bound.
 
-Point sets travel as integer bitmasks, blocks as a tuple of masks in
-canonical order.  Python integers are unbounded, so there is no
-limit on the order of the system.
+Every kernel takes a ``core.TripleSystem`` and reads its ``n``,
+``block_masks``, ``lead`` and ``triples``, which the system builds
+while it checks its pairs; its docstring describes them.
+
+Point sets travel as integer bitmasks.  Python integers are unbounded,
+so there is no limit on the order of the system.
 """
 
 from __future__ import annotations
-
-
-class PySystem:
-    """The search handle of a system of order ``n``.
-
-    ``masks`` holds the block bitmasks in canonical order.  ``lead[p]``
-    lists the ``(mask, id)`` pairs of the blocks whose least point is
-    ``p``, in canonical order: the only blocks that can cover ``p``
-    inside a point set whose least point is ``p``.  ``triples`` holds
-    each block's points in ascending order, for the scan and the
-    packing search.  ``TripleSystem`` builds its handle while it checks
-    the pairs; ``prepare`` builds one from raw masks.
-    """
-
-    __slots__ = ("n", "masks", "lead", "triples")
-
-    def __init__(self, n, masks, lead, triples):
-        self.n = n
-        self.masks = masks
-        self.lead = lead
-        self.triples = triples
-
-
-def prepare(n, masks):
-    """Build a search handle from block bitmasks in canonical order."""
-    lead = [[] for _ in range(n)]
-    triples = []
-    for bid, m in enumerate(masks):
-        a = (m & -m).bit_length() - 1
-        c = m.bit_length() - 1
-        lead[a].append((m, bid))
-        triples.append((a, (m ^ (1 << a | 1 << c)).bit_length() - 1, c))
-    return PySystem(n, tuple(masks), tuple(tuple(b) for b in lead), tuple(triples))
 
 
 def _split(sys, target, parts=None):
@@ -238,7 +208,7 @@ def max_packing(sys, budget=None):
     part of the contract: the tests pin all four values per system
     against an independent reference copy of these bounds.
     """
-    masks = sys.masks
+    masks = sys.block_masks
     triples = sys.triples
     nblocks = len(masks)
     deg = [0] * sys.n

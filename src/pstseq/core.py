@@ -177,16 +177,23 @@ class TripleSystem:
 
     ``labels`` maps dense indices 0..n-1 back to the input tokens;
     ``block_masks`` holds each block's points as a bitmask;
-    ``pair_index`` maps each covered unordered pair to its unique block.
-    The constructor checks the pairs with one adjacency bitmask per
-    point and raises PairInTwoBlocks, naming both blocks, at the first
-    pair covered twice; the same loop builds the kernel handle.
+    ``lead[p]`` lists the ``(mask, id)`` pairs of the blocks whose least
+    point is ``p``, in canonical order: the only blocks that can cover
+    ``p`` inside a point set whose least point is ``p``; ``triples``
+    holds each block's points in ascending order; ``pair_index`` maps
+    each covered unordered pair to its unique block.  The kernels of
+    ``_pykernels`` take the system itself and read ``n``,
+    ``block_masks``, ``lead`` and ``triples``.  The constructor checks
+    the pairs with one adjacency bitmask per point and raises
+    PairInTwoBlocks, naming both blocks, at the first pair covered
+    twice; the same loop builds ``block_masks``, ``lead`` and ``triples``.
     ``pair_index`` is built on first use: only the pair lookups
     ``block_of_pair`` and ``is_block`` read it.  So is the label-to-index
     map, which only ``index_of`` reads.
     """
 
-    __slots__ = ("n", "blocks", "labels", "block_masks", "_pair_index", "_kernel", "_label_to_index")
+    __slots__ = ("n", "blocks", "labels", "block_masks", "lead", "triples",
+                 "_pair_index", "_label_to_index")
 
     def __init__(self, n: int, blocks: tuple[Block, ...], labels: tuple[str, ...]):
         self.n = n
@@ -209,10 +216,9 @@ class TripleSystem:
             lead[a].append((m, i))
             triples.append(pts)
         self.block_masks = tuple(masks)
+        self.lead = tuple(map(tuple, lead))
+        self.triples = tuple(triples)
         self._pair_index = None
-        self._kernel = _pykernels.PySystem(
-            n, self.block_masks, tuple(map(tuple, lead)), tuple(triples)
-        )
         self._label_to_index = None
 
     @property
@@ -494,7 +500,7 @@ def partition_into_blocks(
     an error.
     """
     mask = _mask_of(point_set, system)
-    ids = _pykernels.find_partition(system._kernel, mask)
+    ids = _pykernels.find_partition(system, mask)
     if ids is None:
         return None
     return _checked_witness(tuple(system.blocks[i] for i in ids), mask)
@@ -510,7 +516,7 @@ def inadmissible_segments(
     sequence is admissible.
     """
     entries = _checked_permutation(seq, system)
-    hits = _pykernels.inadmissible_scan(system._kernel, list(entries), False)
+    hits = _pykernels.inadmissible_scan(system, list(entries), False)
     out = []
     for start, length, ids in hits:
         seg_mask = 0
@@ -524,4 +530,4 @@ def inadmissible_segments(
 def is_admissible(seq, system: TripleSystem) -> bool:
     """True when no proper segment partitions into disjoint blocks."""
     entries = _checked_permutation(seq, system)
-    return not _pykernels.inadmissible_scan(system._kernel, list(entries), True)
+    return not _pykernels.inadmissible_scan(system, list(entries), True)

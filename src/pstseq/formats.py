@@ -121,8 +121,6 @@ def parse_sequence_text(text: str, system: TripleSystem, source: str = "<string>
             tokens = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise InputError(f"{source}: invalid JSON sequence ({exc.msg})") from None
-        if not isinstance(tokens, list):
-            raise InputError(f"{source}: JSON sequence must be an array")
     else:
         tokens = stripped.split()
     return system.sequence_from_labels(tokens)

@@ -1,15 +1,16 @@
 """The benchmark's hook into the kernels.
 
-``prepare`` returns the pair (kernel module, handle) and
+``prepare`` returns the pair (kernel module, system) and
 ``backend_name`` names the one backend; ``perfbench`` reads both.  The
-program itself calls ``pstseq._pykernels`` directly on
-``TripleSystem._kernel``.  This module goes once the benchmark reads
-the kernel module directly.
+program itself calls ``pstseq._pykernels`` directly on a
+``TripleSystem``.  This module goes once the benchmark reads the
+kernel module directly.
 """
 
 from __future__ import annotations
 
 from . import _pykernels
+from .core import validate_system
 
 
 def backend_name() -> str:
@@ -17,5 +18,7 @@ def backend_name() -> str:
 
 
 def prepare(n: int, masks):
-    """Return (module, handle) for a system of order ``n``."""
-    return _pykernels, _pykernels.prepare(n, masks)
+    """Return (module, system) for the system of order ``n`` whose blocks
+    have the bitmasks ``masks``."""
+    rows = [[p for p in range(n) if m >> p & 1] for m in masks]
+    return _pykernels, validate_system(n, rows)

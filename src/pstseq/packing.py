@@ -82,7 +82,7 @@ def max_disjoint_blocks(system: TripleSystem, budget: Optional[int] = None) -> P
     budget the search may stop early and the result is flagged inexact.
     A budget other than None or a non-negative int raises ``InputError``.
     """
-    nu, ids, nodes, complete = _pykernels.max_packing(system._kernel, _checked_budget(budget))
+    nu, ids, nodes, complete = _pykernels.max_packing(system, _checked_budget(budget))
     return PackingResult(
         nu=nu,
         witness=tuple(system.blocks[i] for i in ids),

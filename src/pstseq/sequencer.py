@@ -161,7 +161,7 @@ def decide(
     _checked_budget(budget)
     if not isinstance(exhaust, bool):
         raise InputError(f"exhaust must be a bool, got {exhaust!r}")
-    witness, nodes, exhausted = _pykernels.decide_search(system._kernel, budget, exhaust)
+    witness, nodes, exhausted = _pykernels.decide_search(system, budget, exhaust)
     if witness is not None:
         seq = _verified(system, witness, "decide")
         return Decision(Outcome.SEQUENCEABLE, seq, nodes, exhausted, nodes)
@@ -239,7 +239,7 @@ def _first_admissible(system, blocks, pattern) -> Optional[list[int]]:
         for labels in itertools.product(*groups, itertools.permutations(extras)):
             flat = [p for group in labels for p in group]
             entries = [flat[i] for i in pattern] + tail
-            if not _pykernels.inadmissible_scan(system._kernel, entries, True):
+            if not _pykernels.inadmissible_scan(system, entries, True):
                 return entries
     return None
 
@@ -257,8 +257,7 @@ def _pattern_route(system, blocks, key) -> Sequence:
 def _splitting_points(system: TripleSystem, candidates, mask: int) -> set[int]:
     """The candidates p whose removal from ``mask`` leaves a point set
     that splits into disjoint blocks."""
-    kernel = system._kernel
-    return {p for p in candidates if _pykernels.can_partition(kernel, mask ^ (1 << p))}
+    return {p for p in candidates if _pykernels.can_partition(system, mask ^ (1 << p))}
 
 
 def _construct_ten(system: TripleSystem, witness) -> Sequence:
@@ -333,7 +332,7 @@ def _construct_eleven(system: TripleSystem, witness) -> Sequence:
         assign[7 + off] = p
 
     mid = sum(1 << p for p in (assign[3], assign[5], assign[7], assign[6], assign[8], a_pt))
-    if _pykernels.can_partition(system._kernel, mid):
+    if _pykernels.can_partition(system, mid):
         assign[4], assign[5] = assign[5], assign[4]
 
     pattern = (1, 2, 4, 3, 5, 7, 6, 8)
@@ -342,7 +341,7 @@ def _construct_eleven(system: TripleSystem, witness) -> Sequence:
         for x, y in swaps:
             trial[x], trial[y] = trial[y], trial[x]
         order = [b_pt] + [trial[i] for i in pattern] + [a_pt, trial[9]]
-        if not _pykernels.inadmissible_scan(system._kernel, order, True):
+        if not _pykernels.inadmissible_scan(system, order, True):
             return Sequence(tuple(order))
     return _pattern_route(system, witness, (3, 11))
 
@@ -419,7 +418,7 @@ def extend(
     full = _checked_permutation(
         entries + tuple(p for p in system.points() if p not in placed), system
     )
-    hits = _pykernels.inadmissible_scan(system._kernel, full, False)
+    hits = _pykernels.inadmissible_scan(system, full, False)
     if any(start + length <= 12 and length < 12 for start, length, _ in hits):
         raise ResidualNotAdmissible(
             "the residual sequence is inadmissible on the induced subsystem"
@@ -505,7 +504,7 @@ def _repair_three_segments(system, entries, u_set):
     n = len(entries)
     seen = {tuple(entries)}
     for _ in range(20 * n):
-        hits = _pykernels.inadmissible_scan(system._kernel, entries, True)
+        hits = _pykernels.inadmissible_scan(system, entries, True)
         if not hits:
             return entries
         pos, length, _ = hits[0]

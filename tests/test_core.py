@@ -11,7 +11,6 @@ from pstseq import (
     Block,
     CyclicBase,
     Sequence,
-    _pykernels,
     construct,
     cyclic_system,
     decide,
@@ -94,6 +93,8 @@ class TestValidateSystem:
             a, b, c = blk.points
             assert STS13.block_of_pair(a, b) == blk
             assert STS13.block_of_pair(b, c) == blk
+            assert STS13.block_of_pair(c, a) == blk
+        assert not STS13.is_block((0, 1))
 
 
 def _reference_labels(n, rows):
@@ -139,20 +140,17 @@ def _reference_fields(n, index_rows, labels):
         for p in range(n)
     )
     triples = tuple(blk.points for blk in blocks)
-    return blocks, labels, pair_index, masks, masks, lead, triples
+    return blocks, labels, pair_index, masks, lead, triples
 
 
 def _fields(system):
-    handle = system._kernel
-    assert type(handle) is _pykernels.PySystem
     return (
         system.blocks,
         system.labels,
         dict(system.pair_index),
         system.block_masks,
-        handle.masks,
-        handle.lead,
-        handle.triples,
+        system.lead,
+        system.triples,
     )
 
 
@@ -311,7 +309,7 @@ class TestBuildPath:
         seq = construct(system)
         assert seq.entries == (0, 1, 3, 2, 4)
         points = [p for blk in system.blocks for p in blk.points]
-        points += [p for row in system._kernel.triples for p in row]
+        points += [p for row in system.triples for p in row]
         points += seq.entries
         points += decide(system).witness.entries
         assert len(points) == 16

@@ -186,8 +186,7 @@ def test_search_matches_the_reference_walk(budget, exhaust):
             continue
         seen.add(key)
         blocks = [b.points for b in system.blocks]
-        handle = _pykernels.prepare(system.n, system.block_masks)
-        got = _pykernels.decide_search(handle, budget, exhaust)
+        got = _pykernels.decide_search(system, budget, exhaust)
         assert got == _reference_search(system.n, blocks, budget, exhaust), blocks
         kinds.add((got[0] is not None, got[2]))
     # (witness found, exhausted): every corpus system is sequenceable,
@@ -219,9 +218,8 @@ def test_memo_cleared_mid_search_changes_nothing(monkeypatch):
     cleared = 0
     for system, budget in cases:
         blocks = [b.points for b in system.blocks]
-        handle = _pykernels.prepare(system.n, system.block_masks)
         tested.clear()
-        got = _pykernels.decide_search(handle, budget, False)
+        got = _pykernels.decide_search(system, budget, False)
         assert got == _reference_search(system.n, blocks, budget), blocks
         # at most ``cap`` masks are held, so this many distinct ones
         # means the memo was emptied at least three times

@@ -57,6 +57,8 @@ def test_parse_error_carries_line_number():
 def test_missing_header():
     with pytest.raises(InputError):
         formats.parse_system_text("0 1 2\n")
+    with pytest.raises(InputError, match="missing 'order N' header line"):
+        formats.parse_system_text("# only a comment\n\n")
 
 
 @pytest.mark.parametrize("header", ["order \u00b2", "order --3", "order 3x"])
@@ -74,6 +76,7 @@ def test_bad_order_header(header):
     ('{"order": 3, "blocks": [[null, 1, 2]]}', "got None"),
     ('{"order": 3, "blocks": [[false, 1, 2]]}', "got False"),
     ('{"order": 3, "blocks": [[[0], 1, 2]]}', "got [0]"),
+    ('{"order": 3}', "needs 'order' and 'blocks' keys"),
 ])
 def test_malformed_json_system(text, message):
     with pytest.raises(InputError) as err:
@@ -99,6 +102,17 @@ def test_unknown_label_in_sequence():
     system = validate_system(3, [[0, 1, 2]])
     with pytest.raises(InputError):
         formats.parse_sequence_text("0 1 9", system)
+
+
+def test_truncated_json_sequence():
+    system = validate_system(3, [[0, 1, 2]])
+    with pytest.raises(InputError, match="invalid JSON sequence"):
+        formats.parse_sequence_text("[1, 2", system)
+
+
+def test_missing_file(tmp_path):
+    with pytest.raises(InputError, match="cannot read"):
+        formats.load_system(tmp_path / "absent.psts")
 
 
 def test_load_system_returns_digest_of_bytes_read(tmp_path):

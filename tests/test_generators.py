@@ -111,8 +111,9 @@ class TestFriendshipChain:
         assert max_disjoint_blocks(system).nu == 3
 
     def test_small_component_rejected_in_chain(self):
-        with pytest.raises(SizeTooSmall):
-            friendship_chain([2, 1])
+        for sizes in ([2, 1], [], [0]):
+            with pytest.raises(SizeTooSmall):
+                friendship_chain(sizes)
 
     def test_shared_vertices_have_degree_two_blocks(self):
         system = friendship_chain([2, 2, 2])
@@ -266,6 +267,15 @@ class TestTripleTable:
 def test_random_system_non_integer_arguments_rejected(n, target):
     with pytest.raises(ValueError, match="must be integers"):
         random_system(n, target, 0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: johnson_schonheim(-1), "order must be nonnegative"),
+    (lambda: random_system(9, -1, 0), "target block count must be nonnegative"),
+])
+def test_negative_size_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("call,value", [

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pstseq
-from pstseq import _pykernels as pure, johnson_schonheim, kernels, random_system
+from pstseq import TripleSystem, _pykernels as pure, johnson_schonheim, kernels, random_system
 from conftest import oracle_has_partition_subsets
 
 
@@ -12,27 +12,21 @@ def test_prepare_returns_pure_kernels():
     for n, masks in ((0, ()), (6, (0b111, 0b111000)), (65, ())):
         assert kernels.prepare(n, masks)[0] is pure
     assert pstseq.backend_name() == "pure"
-
-
-def test_system_handle_matches_prepare(corpus_nu_le3):
-    # ``TripleSystem`` builds its handle in its pair-check loop; from the
-    # same masks ``prepare`` must build the same fields.
-    for system in corpus_nu_le3 + [random_system(70, 8, 1), random_system(0, 0, 0)]:
-        handle = pure.prepare(system.n, system.block_masks)
-        for field in pure.PySystem.__slots__:
-            assert getattr(handle, field) == getattr(system._kernel, field), field
+    _, system = kernels.prepare(6, (0b111, 0b111000))
+    assert type(system) is TripleSystem
+    assert system.block_masks == (0b111, 0b111000)
+    assert pure.find_partition(system, 0b111111) == (0, 1)
 
 
 def test_pure_supports_arbitrary_order():
     system = random_system(70, 8, 1)
-    handle = pure.prepare(system.n, system.block_masks)
-    witness, nodes, exhausted = pure.decide_search(handle, 10_000, False)
+    witness, nodes, exhausted = pure.decide_search(system, 10_000, False)
     assert sorted(witness) == list(range(70))
     assert nodes == 70 and not exhausted
-    assert pure.inadmissible_scan(handle, witness, True) == []
+    assert pure.inadmissible_scan(system, witness, True) == []
     first = system.blocks[0].points
     perm = list(first) + [p for p in range(70) if p not in first]
-    assert pure.inadmissible_scan(handle, perm, True) == [(0, 3, (0,))]
+    assert pure.inadmissible_scan(system, perm, True) == [(0, 3, (0,))]
 
 
 def test_pure_partition_matches_subset_oracle():
@@ -40,12 +34,11 @@ def test_pure_partition_matches_subset_oracle():
     # against the least-point-first reference search.
     for seed in range(5):
         system = random_system(9, 5, seed)
-        handle = pure.prepare(system.n, system.block_masks)
         partition = _all_blocks_partitioner(system.n, system.block_masks)
         for size in (3, 6, 9):
             for combo in itertools.combinations(range(9), size):
                 mask = sum(1 << p for p in combo)
-                got = pure.find_partition(handle, mask)
+                got = pure.find_partition(system, mask)
                 assert got == partition(mask)
                 assert (got is not None) == oracle_has_partition_subsets(system, combo)
 
@@ -81,7 +74,6 @@ def test_partition_matches_all_blocks_search():
             for seed in range(3):
                 system = random_system(n, target, seed)
                 masks = system.block_masks
-                handle = pure.prepare(n, masks)
                 partition = _all_blocks_partitioner(n, masks)
                 rng = random.Random(seed)
                 for size in range(3, n + 1, 3):
@@ -94,8 +86,8 @@ def test_partition_matches_all_blocks_search():
                         samples.append(union)
                         for mask in samples:
                             expected = partition(mask)
-                            assert pure.find_partition(handle, mask) == expected
-                            assert pure.can_partition(handle, mask) == (expected is not None)
+                            assert pure.find_partition(system, mask) == expected
+                            assert pure.can_partition(system, mask) == (expected is not None)
                             found += expected is not None
     assert found > 1000
 
@@ -137,10 +129,9 @@ def _scan_cases():
 def test_scan_matches_unfiltered_scan():
     cases = hits = 0
     for system, entries in _scan_cases():
-        handle = pure.prepare(system.n, system.block_masks)
         expected = _unfiltered_scan(system.n, system.block_masks, entries)
-        assert pure.inadmissible_scan(handle, entries) == expected
-        assert pure.inadmissible_scan(handle, entries, True) == expected[:1]
+        assert pure.inadmissible_scan(system, entries) == expected
+        assert pure.inadmissible_scan(system, entries, True) == expected[:1]
         cases += 1
         hits += len(expected)
     assert cases > 1000 and hits > 1000
@@ -163,12 +154,11 @@ def test_benchmark_hooks(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(mod, name, counted)
     system = random_system(13, johnson_schonheim(13), 1)
-    handle = mod.prepare(system.n, system.block_masks)
-    witness, nodes, _ = mod.decide_search(handle, 200, False)
+    witness, nodes, _ = mod.decide_search(system, 200, False)
     assert calls["can_partition"] > 0 and calls["find_partition"] == 0
     searched = calls["can_partition"]
     first = system.blocks[0].points
     perm = list(first) + [p for p in range(13) if p not in first]
-    hits = mod.inadmissible_scan(handle, perm, False)
+    hits = mod.inadmissible_scan(system, perm, False)
     assert hits and calls["find_partition"] == len(hits)
     assert calls["can_partition"] == searched

@@ -306,6 +306,21 @@ class TestInducedMatching:
         assert matching.edges == ((4, 7), (5, 8), (3, 6))
         assert matching.labels == (0, 1, 9)
 
+    @pytest.mark.parametrize("parts,a1,a2,error,message", [
+        ([(0, 4, 7), (1, 5, 8)], (3, 4, 5), (6, 7, 8),
+         WrongCardinality, "expected a 3-part partition"),
+        ([(0, 4, 7), (1, 5, 8), (3, 6, 9)], (3, 4, 5), (5, 6, 7),
+         ValueError, "reference blocks are not disjoint"),
+        ([(0, 4, 7), (1, 5, 8), (3, 6, 9)], (3, 4, 5), (2, 6, 7),
+         ValueError, "must lie inside the partitioned set"),
+        ([(0, 3, 4), (1, 5, 6), (2, 7, 8)], (3, 4, 5), (6, 7, 8),
+         ValueError, "does not meet both blocks in single points"),
+    ])
+    def test_bad_arguments_rejected(self, parts, a1, a2, error, message):
+        witness = PartitionWitness(tuple(Block(p) for p in parts))
+        with pytest.raises(error, match=message):
+            induced_matching(witness, Block(a1), Block(a2))
+
     def test_part_equal_to_reference_block(self):
         witness = PartitionWitness(
             (Block((0, 1, 2)), Block((3, 4, 5)), Block((6, 7, 8)))

@@ -6,6 +6,9 @@ with the package.  File formats must carry each draw unchanged.
 """
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -59,3 +62,27 @@ def test_text_and_json_round_trip(system):
     obj = json.loads(json.dumps(formats.system_to_json_obj(system)))
     assert formats.parse_system_json(json.dumps(obj)) == system
     assert formats.parse_system_text(json.dumps(obj)) == system
+
+
+_FAILING_PROPERTY = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x is None
+'''
+
+
+def test_failing_property_test_fails_alone(tmp_path):
+    # Under the repo's warning filters, reporting a failed ``@given``
+    # test must fail that test, not abort the whole session.
+    (tmp_path / "test_failing.py").write_text(_FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(config), "--rootdir", str(tmp_path), "test_failing.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "INTERNALERROR" not in result.stdout + result.stderr

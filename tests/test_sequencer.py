@@ -31,6 +31,7 @@ from pstseq.errors import (
     PstseqError,
     RepairFailed,
     ResidualNotAdmissible,
+    SequenceNotPermutation,
 )
 from pstseq import sequencer
 from pstseq.sequencer import _interleave_order, _repair_three_segments
@@ -245,6 +246,16 @@ class TestPiTemplate:
         with pytest.raises(ValueError):
             pi_template_instantiate(system, system.blocks)
 
+    @pytest.mark.parametrize("blocks,message", [
+        ([(0, 1, 2), (3, 4, 5)], "need exactly three disjoint blocks"),
+        ([(0, 1, 2), (3, 4, 5), (9, 10, 11)], "is not a block of the system"),
+        ([(0, 1, 2), (3, 4, 5), (0, 3, 6)], "not pairwise disjoint"),
+    ])
+    def test_bad_blocks_rejected(self, blocks, message):
+        system = validate_system(12, [[0, 1, 2], [3, 4, 5], [6, 7, 8], [0, 3, 6]])
+        with pytest.raises(ValueError, match=message):
+            pi_template_instantiate(system, [Block(b) for b in blocks])
+
     def test_four_disjoint_blocks_path(self):
         # With a fourth disjoint block the guarantee lapses: failing with
         # NoAdmissibleLabeling is permitted, succeeding demands a verified
@@ -306,6 +317,16 @@ class TestExtend:
         residual = wpts + pool[:3]
         with pytest.raises(ResidualNotAdmissible):
             extend(system, residual, sorted(residual))
+
+    @pytest.mark.parametrize("n,residual,order,error,message", [
+        (13, range(11), range(11), ValueError, "residual must have 12 points"),
+        (12, range(12), range(12), ValueError, "extension needs order >= 13"),
+        (13, range(12), [*range(11), 12], SequenceNotPermutation, "not a permutation"),
+    ])
+    def test_bad_residual_arguments_rejected(self, n, residual, order, error, message):
+        system = validate_system(n, [[0, 1, 2]])
+        with pytest.raises(error, match=message):
+            extend(system, residual, order)
 
     def test_residual_points_out_of_range_rejected(self):
         system = friendship_chain([2, 2, 2])
