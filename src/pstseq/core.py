@@ -26,18 +26,38 @@ from .errors import (
 
 
 class _Record:
-    """Immutable record: ``==``, ``hash`` and ``repr`` over ``_fields``.
+    """Immutable record: ``==``, ``hash`` and ``repr`` over its fields.
 
-    A subclass names its compared fields, in ``repr`` order, in
-    ``_fields`` and writes every field straight into the instance
-    ``__dict__`` in its own ``__init__``.  Equality holds only between
-    instances of one class, and the hash is that of the tuple of field
-    values, as for a frozen dataclass.  Assignment and deletion raise
-    AttributeError; pickle and ``copy`` restore the ``__dict__`` without
-    calling ``__setattr__`` or ``__init__``.
+    A subclass declares its fields as class annotations, in ``repr``
+    order, and ``__init_subclass__`` collects their names into
+    ``_fields`` without evaluating them.  ``__init__`` binds its
+    arguments to the fields by position or by name and writes them into
+    the instance ``__dict__`` in field order; a subclass that checks its
+    input stores through ``super().__init__``.  Equality holds only
+    between instances of one class, and the hash is that of the tuple of
+    field values, as for a frozen dataclass.  Assignment and deletion
+    raise AttributeError; pickle and ``copy`` restore the ``__dict__``
+    without calling ``__setattr__`` or ``__init__``.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            values = dict(zip(fields, args), **kwargs)
+            # A field given by position and by name makes the count too
+            # high; a missing field or an unknown name changes the keys.
+            if len(args) + len(kwargs) != len(fields) or values.keys() != set(fields):
+                raise TypeError(
+                    f"{self.__class__.__qualname__}() takes the fields {fields}, "
+                    f"got {len(args)} by position and {tuple(kwargs)} by name"
+                )
+            args = [values[f] for f in fields]
+        self.__dict__.update(zip(fields, args))
 
     def _values(self) -> tuple:
         d = self.__dict__
@@ -70,12 +90,12 @@ class Block(_Record):
     Blocks order by their point tuples.
     """
 
-    _fields = ("points",)
+    points: tuple[int, int, int]
 
     def __init__(self, points: tuple[int, int, int]):
         if len(points) != 3 or len(set(points)) != 3:
             raise RepeatedPointInBlock(f"not a triple of distinct points: {points}")
-        self.__dict__["points"] = tuple(sorted(points))
+        super().__init__(tuple(sorted(points)))
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:
@@ -108,10 +128,7 @@ def _sorted_block(points: tuple[int, int, int]) -> Block:
 class Sequence(_Record):
     """A candidate witness: a permutation of all points of a system."""
 
-    _fields = ("entries",)
-
-    def __init__(self, entries: tuple[int, ...]):
-        self.__dict__["entries"] = entries
+    entries: tuple[int, ...]
 
     def __iter__(self):
         return iter(self.entries)
@@ -126,21 +143,14 @@ class Sequence(_Record):
 class Segment(_Record):
     """Positions ``start .. start+length-1`` of a sequence."""
 
-    _fields = ("start", "length")
-
-    def __init__(self, start: int, length: int):
-        d = self.__dict__
-        d["start"] = start
-        d["length"] = length
+    start: int
+    length: int
 
 
 class PartitionWitness(_Record):
     """Pairwise disjoint blocks whose union is the witnessed point set."""
 
-    _fields = ("parts",)
-
-    def __init__(self, parts: tuple[Block, ...]):
-        self.__dict__["parts"] = parts
+    parts: tuple[Block, ...]
 
     def point_set(self) -> frozenset[int]:
         return frozenset(p for blk in self.parts for p in blk)

@@ -14,7 +14,8 @@ from .errors import DevelopmentCollision, PairInTwoBlocks, SizeTooSmall
 class CyclicBase(_Record):
     """Base blocks over Z_modulus, developed by the rotation x -> x+1."""
 
-    _fields = ("modulus", "base_blocks")
+    modulus: int
+    base_blocks: tuple[tuple[int, int, int], ...]
 
     def __init__(self, modulus: int, base_blocks: tuple[tuple[int, int, int], ...]):
         if not _is_plain_int(modulus):
@@ -32,9 +33,7 @@ class CyclicBase(_Record):
             if len(set(res)) != 3:
                 raise ValueError(f"base block {b} has repeated residues mod {modulus}")
             normalized.append(res)
-        d = self.__dict__
-        d["modulus"] = modulus
-        d["base_blocks"] = tuple(normalized)
+        super().__init__(modulus, tuple(normalized))
 
 
 def cyclic_system(base: CyclicBase) -> TripleSystem:
@@ -55,30 +54,17 @@ def cyclic_system(base: CyclicBase) -> TripleSystem:
 
 
 def _chain_labels(sizes: Seq[int]) -> tuple[int, list[tuple[str, str, str]]]:
+    # Component i's hub h{i} lies on each of its triangles; its last
+    # triangle's second outer point s{i} is the first outer point of
+    # component i+1's first triangle, so each link saves one point.
     k = len(sizes)
-    labels: list[str] = []
-    blocks: list[tuple[str, str, str]] = []
-    shared_with_prev = None
+    blocks = []
     for i, m in enumerate(sizes, start=1):
-        hub = f"h{i}"
-        labels.append(hub)
         for j in range(1, m + 1):
-            if j == 1 and shared_with_prev is not None:
-                first = shared_with_prev
-            else:
-                first = f"g{i}t{j}a"
-                labels.append(first)
-            if j == m and i < k:
-                second = f"s{i}"
-                shared_with_prev_next = second
-            else:
-                second = f"g{i}t{j}b"
-                shared_with_prev_next = None
-            labels.append(second)
-            blocks.append((hub, first, second))
-            if j == m:
-                shared_with_prev = shared_with_prev_next
-    return len(labels), blocks
+            first = f"s{i - 1}" if j == 1 and i > 1 else f"g{i}t{j}a"
+            second = f"s{i}" if j == m and i < k else f"g{i}t{j}b"
+            blocks.append((f"h{i}", first, second))
+    return sum(2 * m + 1 for m in sizes) - (k - 1), blocks
 
 
 def friendship(m: int) -> TripleSystem:

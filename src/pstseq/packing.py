@@ -24,31 +24,18 @@ class PackingResult(_Record):
     in which case ``nu`` is a lower bound.
     """
 
-    _fields = ("nu", "witness", "nodes_explored", "exact")
-
-    def __init__(self, nu: int, witness: tuple[Block, ...], nodes_explored: int, exact: bool):
-        d = self.__dict__
-        d["nu"] = nu
-        d["witness"] = witness
-        d["nodes_explored"] = nodes_explored
-        d["exact"] = exact
+    nu: int
+    witness: tuple[Block, ...]
+    nodes_explored: int
+    exact: bool
 
 
 class BadSetReport(_Record):
     """All sets M with |M| = n-9 whose complement splits into three blocks."""
 
-    _fields = ("m_size", "bad_sets", "realizations")
-
-    def __init__(
-        self,
-        m_size: int,
-        bad_sets: tuple[tuple[int, ...], ...],
-        realizations: tuple[PartitionWitness, ...],
-    ):
-        d = self.__dict__
-        d["m_size"] = m_size
-        d["bad_sets"] = bad_sets
-        d["realizations"] = realizations
+    m_size: int
+    bad_sets: tuple[tuple[int, ...], ...]
+    realizations: tuple[PartitionWitness, ...]
 
 
 class InducedMatching(_Record):
@@ -58,12 +45,8 @@ class InducedMatching(_Record):
     point in the second; the label is the part's third point.
     """
 
-    _fields = ("edges", "labels")
-
-    def __init__(self, edges: tuple[tuple[int, int], ...], labels: tuple[int, ...]):
-        d = self.__dict__
-        d["edges"] = edges
-        d["labels"] = labels
+    edges: tuple[tuple[int, int], ...]
+    labels: tuple[int, ...]
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
@@ -83,12 +66,7 @@ def max_disjoint_blocks(system: TripleSystem, budget: Optional[int] = None) -> P
     A budget other than None or a non-negative int raises ``InputError``.
     """
     nu, ids, nodes, complete = _pykernels.max_packing(system, _checked_budget(budget))
-    return PackingResult(
-        nu=nu,
-        witness=tuple(system.blocks[i] for i in ids),
-        nodes_explored=nodes,
-        exact=complete,
-    )
+    return PackingResult(nu, tuple(system.blocks[i] for i in ids), nodes, complete)
 
 
 def _disjoint_triples(system: TripleSystem):

@@ -9,9 +9,10 @@ construction when the order allows, and to plain search otherwise.
 
 The paper's constructions lay the disjoint blocks and a few extra
 points into fixed positional patterns.  One search, ``_first_admissible``
-over the ``_PATTERNS`` table, serves two disjoint blocks, three at
-order 9, the order-11 fallback, order 12 and the extension to larger
-orders; orders 10 and 11 keep their relabeling rules first.
+over the ``_PATTERNS`` table, serves a system with a single block, two
+disjoint blocks, three at order 9, the order-11 fallback, order 12 and
+the extension to larger orders; orders 10 and 11 keep their relabeling
+rules first.
 """
 
 from __future__ import annotations
@@ -66,49 +67,25 @@ class Decision(_Record):
     is only issued when the search tree was exhausted.
     """
 
-    _fields = ("outcome", "witness", "nodes_explored", "exhausted", "budget_spent")
-
-    def __init__(
-        self,
-        outcome: Outcome,
-        witness: Optional[Sequence],
-        nodes_explored: int,
-        exhausted: bool,
-        budget_spent: int,
-    ):
-        d = self.__dict__
-        d["outcome"] = outcome
-        d["witness"] = witness
-        d["nodes_explored"] = nodes_explored
-        d["exhausted"] = exhausted
-        d["budget_spent"] = budget_spent
+    outcome: Outcome
+    witness: Optional[Sequence]
+    nodes_explored: int
+    exhausted: bool
+    budget_spent: int
 
 
 class Labeling(_Record):
     """Role assignment of three disjoint blocks plus point labels."""
 
-    _fields = ("block_roles", "assignment", "sequence")
-
-    def __init__(
-        self,
-        block_roles: tuple[Block, Block, Block],
-        assignment: dict[str, int],
-        sequence: Sequence,
-    ):
-        d = self.__dict__
-        d["block_roles"] = block_roles
-        d["assignment"] = assignment
-        d["sequence"] = sequence
+    block_roles: tuple[Block, Block, Block]
+    assignment: dict[str, int]
+    sequence: Sequence
 
 
 class CertificateEntry(_Record):
-    _fields = ("vertex", "exponent", "blocks")
-
-    def __init__(self, vertex: int, exponent: int, blocks: tuple[Block, Block, Block, Block]):
-        d = self.__dict__
-        d["vertex"] = vertex
-        d["exponent"] = exponent
-        d["blocks"] = blocks
+    vertex: int
+    exponent: int
+    blocks: tuple[Block, Block, Block, Block]
 
 
 class Sts13Certificate(_Record):
@@ -120,12 +97,11 @@ class Sts13Certificate(_Record):
     ``hash`` and ``repr``.
     """
 
-    _fields = ("entries",)
+    entries: tuple[CertificateEntry, ...]
 
     def __init__(self, entries: tuple[CertificateEntry, ...], system: TripleSystem):
-        d = self.__dict__
-        d["entries"] = entries
-        d["system"] = system
+        super().__init__(entries)
+        self.__dict__["system"] = system
 
 
 def _verified(system: TripleSystem, entries: Iterable[int], context: str) -> Sequence:
@@ -181,10 +157,7 @@ def _construct_nu_le1(system: TripleSystem) -> Sequence:
         # No block, or order 3, whose one block is all its points.
         entries = system.points()
     elif len(blocks) == 1:
-        p1, p2, p3 = blocks[0].points
-        covered = system.block_masks[0]
-        extras = [p for p in system.points() if not covered >> p & 1]
-        entries = [p1, p2, extras[0], p3, *extras[1:]]
+        return _pattern_route(system, blocks, (1, 4))
     else:
         # Some other block meets b1 in exactly one point; anchor on it.
         b1, b2 = blocks[0], blocks[1]
@@ -202,11 +175,13 @@ def _construct_nu_le1(system: TripleSystem) -> Sequence:
 
 
 #: Positional patterns of the paper's constructions, keyed by (packing
-#: number, order); the order-9 key of packing number 2 serves every
+#: number, order); the key (1, 4) serves a system with one block at
+#: every order from 4 up, and the order-9 key of packing number 2 every
 #: order from 9 up.  Entry k names the label placed at position k:
 #: labels 0-2 are the first block in role order, 3-5 the second, then
 #: the third block's labels (packing number 3) and the extra points.
 _PATTERNS = {
+    (1, 4): (0, 1, 3, 2),
     (2, 6): (0, 1, 3, 4, 2, 5),
     (2, 7): (0, 1, 3, 6, 4, 2, 5),
     (2, 8): (0, 1, 3, 2, 6, 4, 5, 7),
@@ -541,12 +516,13 @@ def _repair_three_segments(system, entries, u_set):
 def construct(system: TripleSystem, budget: Optional[int] = DEFAULT_BUDGET) -> Sequence:
     """Build an admissible sequence, choosing the proof-backed route.
 
-    Dispatches on the exact disjoint-block number: direct recipes for
-    at most one disjoint block, the positional-pattern search for two,
-    the pattern search and the order-10 and order-11 relabeling rules
-    for three, the interleaving construction for large sparse systems,
-    and exhaustive search as a last resort, within ``budget`` nodes.  Every returned sequence has passed the
-    admissibility checker.
+    Dispatches on the exact disjoint-block number: for at most one
+    disjoint block, direct recipes or, with a single block, the
+    positional-pattern search; the pattern search for two; the pattern
+    search and the order-10 and order-11 relabeling rules for three; the
+    interleaving construction for large sparse systems; and exhaustive
+    search as a last resort, within ``budget`` nodes.  Every returned
+    sequence has passed the admissibility checker.
     """
     _checked_budget(budget)
     result = max_disjoint_blocks(system)

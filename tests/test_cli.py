@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import pstseq
-from pstseq import cli, formats
+from pstseq import cli, formats, sequencer
 
 
 def run(capsys, *argv):
@@ -325,6 +325,26 @@ class TestCertificateAndHunt:
         assert report["details"]["entries"][11]["blocks"] == [
             [0, 2, 7], [1, 3, 8], [5, 6, 9], [4, 10, 12],
         ]
+
+    @pytest.mark.parametrize("name, value, reason", [
+        ("_STS13_BASES", ((0, 1, 4),), "expected 26 blocks, built 13"),
+        ("_STS13_QUAD", ((0, 1, 2),) + sequencer._STS13_QUAD[1:],
+         "(2, 3, 4) is not a block of the system"),
+        ("_STS13_QUAD", ((0, 1, 4), (0, 2, 7)) + sequencer._STS13_QUAD[2:],
+         "blocks for vertex 0 overlap"),
+        ("_STS13_QUAD", sequencer._STS13_QUAD[:3],
+         "blocks for vertex 0 do not cover exactly the other 12 points"),
+    ], ids=["bases", "non-block", "overlap", "cover"])
+    def test_verify_sts13_reports_certificate_failure(self, capsys, monkeypatch, name, value,
+                                                      reason):
+        monkeypatch.setattr(sequencer, name, value)
+        code, out, _ = run(capsys, "verify-sts13", "--json")
+        report = json.loads(out)
+        assert code == 1
+        assert report["outcome"] == "certificate-failure"
+        assert report["details"]["reason"] == reason
+        code, out, _ = run(capsys, "verify-sts13")
+        assert code == 1 and out == f"CERTIFICATE FAILURE: {reason}\n"
 
     def test_hunt_streams_ndjson(self, capsys):
         code, out, _ = run(

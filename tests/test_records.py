@@ -7,10 +7,13 @@ see no difference.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import pstseq
 from pstseq import (
     BadSetReport,
     Block,
@@ -26,6 +29,7 @@ from pstseq import (
     Sts13Certificate,
     validate_system,
 )
+from pstseq.core import _Record
 from pstseq.sequencer import CertificateEntry
 
 B1, B2, B3, B4 = Block((0, 1, 2)), Block((3, 4, 5)), Block((6, 7, 8)), Block((9, 10, 11))
@@ -184,3 +188,46 @@ def test_sts13_certificate_equality_ignores_the_system():
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert a.system is small and b.system is large
     assert a != Sts13Certificate((), small)
+
+
+def test_every_record_class_is_covered():
+    # A record class missing from _RECORDS would escape every test here.
+    for info in pkgutil.iter_modules(pstseq.__path__, "pstseq."):
+        importlib.import_module(info.name)
+    found, todo = set(), [_Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.add(sub)
+            todo.append(sub)
+    covered = {type(make()) for make, _, _ in _RECORDS.values()}
+    assert {c for c in found if c.__module__.startswith("pstseq.")} == covered
+
+
+def test_fields_bind_by_position_by_name_or_both():
+    names = ("outcome", "witness", "nodes_explored", "exhausted", "budget_spent")
+    values = (Outcome.UNKNOWN, None, 7, False, 7)
+    by_position = Decision(*values)
+    by_name = Decision(**dict(reversed(list(zip(names, values)))))
+    mixed = Decision(*values[:2], budget_spent=7, exhausted=False, nodes_explored=7)
+    assert by_position == by_name == mixed
+    assert repr(by_position) == repr(by_name) == repr(mixed)
+    for record in (by_position, by_name, mixed):
+        assert list(vars(record)) == list(names)
+    assert Segment(length=3, start=0) == Segment(0, 3)
+    assert PackingResult(2, (B1, B2), exact=True, nodes_explored=5) == _RECORDS["PackingResult"][0]()
+
+
+@pytest.mark.parametrize("args, kwargs, got", [
+    ((), {}, "0 by position and () by name"),
+    ((0,), {}, "1 by position and () by name"),
+    ((0,), {"size": 3}, "1 by position and ('size',) by name"),
+    ((0, 3, 5), {}, "3 by position and () by name"),
+    ((0, 3), {"length": 3}, "2 by position and ('length',) by name"),
+    ((0,), {"start": 0}, "1 by position and ('start',) by name"),
+    ((0,), {"start": 0, "length": 3}, "1 by position and ('start', 'length') by name"),
+], ids=["none", "too-few", "unknown-name", "too-many", "twice-full", "twice-as-many",
+        "twice-mixed"])
+def test_binding_errors_name_the_fields(args, kwargs, got):
+    with pytest.raises(TypeError) as err:
+        Segment(*args, **kwargs)
+    assert str(err.value) == f"Segment() takes the fields ('start', 'length'), got {got}"
