@@ -1,4 +1,4 @@
-"""Pure-Python search kernels.
+"""Search kernels.
 
 The hot inner loops: exact partition of a point set into
 vertex-disjoint blocks, the segment scan behind admissibility checking,
@@ -11,9 +11,20 @@ while it checks its pairs; its docstring describes them.
 
 Point sets travel as integer bitmasks.  Python integers are unbounded,
 so there is no limit on the order of the system.
+
+The partition test alone has a second implementation: ``_native.c``, a
+C extension running the same least-point recursion on one 64-bit word,
+serves ``can_partition``, ``find_partition`` and ``inadmissible_scan``
+for systems of order at most 64.  It is compiled with the system C
+compiler on the first kernel call in a process, never at import, and
+cached in this package's ``__pycache__`` (see ``_load_native``).  Larger
+orders, and hosts where the build fails, run ``_split`` here, which
+gives the same answers and the same parts in the same order.
 """
 
 from __future__ import annotations
+
+import os
 
 
 def _split(sys, target, parts=None):
@@ -32,8 +43,97 @@ def _split(sys, target, parts=None):
     return False
 
 
+#: The source of the compiled partition test.  Its builds are cached in
+#: the ``__pycache__`` directory next to it.
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native.c")
+
+#: The compiled extension once loaded, False once it could not be; None
+#: until the first kernel call that asks for it.
+_native = None
+
+
+def _load_native():
+    """Load the build of ``_SOURCE``, building it first if none is
+    cached, and record the module, or False on any failure, in
+    ``_native``.
+
+    A build is named by the SHA-256 of the source and the interpreter's
+    ``EXT_SUFFIX``, which the import system lists first among its
+    extension suffixes, so an edited source or another interpreter gets
+    its own; ``sysconfig`` is imported only to build.  It is tried once
+    per process: a missing compiler or header, a directory that cannot
+    be written, a timeout or an import error leaves the Python recursion
+    in charge, silently.
+    """
+    global _native
+    _native = False
+    try:
+        import hashlib
+        import importlib.machinery
+        import importlib.util
+
+        with open(_SOURCE, "rb") as f:
+            digest = hashlib.sha256(f.read()).hexdigest()[:16]
+        cache = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        path = os.path.join(cache, f"_native.{digest}{suffix}")
+        if not os.path.exists(path):
+            _compile(cache, path, suffix)
+        spec = importlib.util.spec_from_file_location("pstseq._native", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except Exception:
+        return False
+    _native = module
+    return module
+
+
+def _compile(cache, path, suffix):
+    """Compile ``_SOURCE`` to ``path`` with the interpreter's own
+    ``LDSHARED`` and ``CCSHARED`` flags, through a temporary file that
+    ``os.replace`` moves into place, so that a concurrent process never
+    loads a partial file."""
+    import shlex
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    config = sysconfig.get_config_vars()
+    cmd = shlex.split(config["LDSHARED"] + " " + config["CCSHARED"]) + [
+        "-O2", "-I", sysconfig.get_paths()["include"], _SOURCE, "-o"]
+    os.makedirs(cache, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=suffix, dir=cache)
+    os.close(fd)
+    try:
+        subprocess.run(cmd + [tmp], check=True, timeout=120, stdin=subprocess.DEVNULL,
+                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _handle(sys):
+    """The system's compiled partition index, or False when there is none.
+
+    Made on first use and kept in ``sys._native``: False for orders above
+    64, which never trigger a build, or when the extension could not be
+    built.
+    """
+    handle = sys._native
+    if handle is None:
+        native = sys.n <= 64 and (_native if _native is not None else _load_native())
+        handle = sys._native = native.prepare(sys.n, sys.lead) if native else False
+    return handle
+
+
 def find_partition(sys, mask):
     """Partition ``mask`` into disjoint blocks; block ids or None."""
+    handle = sys._native
+    if handle is None:
+        handle = _handle(sys)
+    if handle:
+        return _native.find(handle, mask)
     if mask.bit_count() % 3:
         return None
     parts = []
@@ -45,6 +145,11 @@ def find_partition(sys, mask):
 def can_partition(sys, mask):
     """Whether ``mask`` splits into disjoint blocks, by the same
     least-point branching as ``find_partition`` but with no parts kept."""
+    handle = sys._native
+    if handle is None:
+        handle = _handle(sys)
+    if handle:
+        return _native.split(handle, mask)
     return mask.bit_count() % 3 == 0 and _split(sys, mask)
 
 
@@ -61,11 +166,15 @@ def inadmissible_scan(sys, entries, stop_first=False):
     and some block spanning to e starts at or after s
     (``last_start[e] >= s``).  The filter skips only segments that
     cannot split, so the hits and their order are those of the full
-    scan.  A segment that passes is tested by ``_split`` with no parts
-    kept, and only one that splits goes to ``find_partition`` for its
-    parts; the scan never calls ``can_partition``.
+    scan.  A segment that passes is tested with no parts kept, by the
+    compiled test when the system has one (looked up once per scan) and
+    by ``_split`` otherwise, and only one that splits goes to
+    ``find_partition`` for its parts; the scan never calls
+    ``can_partition``.
     """
     n = sys.n
+    handle = _handle(sys)
+    split, index = (_native.split, handle) if handle else (_split, sys)
     pos = [0] * n
     pm = [0] * (n + 1)
     for i, e in enumerate(entries):
@@ -93,7 +202,7 @@ def inadmissible_scan(sys, entries, stop_first=False):
             end = start + length - 1
             if first_end[start] <= end and last_start[end] >= start:
                 mask = pm[end + 1] ^ pm[start]
-                if _split(sys, mask):
+                if split(index, mask):
                     out.append((start, length, find_partition(sys, mask)))
                     if stop_first:
                         return out

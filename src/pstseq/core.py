@@ -7,7 +7,11 @@ allowed and count toward the order.  A sequence of all points is
 a system admitting an admissible sequence is *sequenceable*.
 
 Everything here is pure and the system object is immutable after
-validation, so instances are safe to share across threads or processes.
+validation, apart from the compiled partition index the kernels cache
+on it at first use (``TripleSystem._native``); that index never changes
+an answer and never travels: pickle and ``copy`` rebuild a system from
+its order, blocks and labels.  So instances are safe to share across
+threads or processes.
 """
 
 from __future__ import annotations
@@ -199,11 +203,14 @@ class TripleSystem:
     twice; the same loop builds ``block_masks``, ``lead`` and ``triples``.
     ``pair_index`` is built on first use: only the pair lookups
     ``block_of_pair`` and ``is_block`` read it.  So is the label-to-index
-    map, which only ``index_of`` reads.
+    map, which only ``index_of`` reads, and so is ``_native``, the
+    compiled partition index of ``_pykernels`` (False where there is
+    none).  Pickling and copying rebuild the system from ``(n, blocks,
+    labels)``, so none of these travels.
     """
 
     __slots__ = ("n", "blocks", "labels", "block_masks", "lead", "triples",
-                 "_pair_index", "_label_to_index")
+                 "_pair_index", "_label_to_index", "_native")
 
     def __init__(self, n: int, blocks: tuple[Block, ...], labels: tuple[str, ...]):
         self.n = n
@@ -230,6 +237,10 @@ class TripleSystem:
         self.triples = tuple(triples)
         self._pair_index = None
         self._label_to_index = None
+        self._native = None
+
+    def __reduce__(self):
+        return TripleSystem, (self.n, self.blocks, self.labels)
 
     @property
     def pair_index(self) -> Mapping[tuple[int, int], Block]:

@@ -5,6 +5,11 @@
 program itself calls ``pstseq._pykernels`` directly on a
 ``TripleSystem``.  This module goes once the benchmark reads the
 kernel module directly.
+
+``backend_name`` still says "pure" where ``_pykernels`` runs its
+compiled partition test: ``perfbench/compare.py`` refuses to compare
+result files whose backend names differ, so a new name would cut every
+comparison with earlier runs.
 """
 
 from __future__ import annotations

@@ -525,3 +525,10 @@ def test_readme_options_exist():
     }
     assert documented >= {"--json", "--budget"}
     assert documented <= accepted, sorted(documented - accepted)
+
+
+def test_import_cli_skips_native_build():
+    # The compiled partition test is built and loaded on the first
+    # kernel call, never at import, so a command that searches nothing
+    # pays neither for it nor for the modules that build it.
+    assert not _modules_after_cli_import() & {"pstseq._native", "sysconfig", "subprocess"}

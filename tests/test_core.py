@@ -1,7 +1,9 @@
 """System validation, partitioning, and admissibility semantics."""
 
+import copy
 import enum
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -530,3 +532,19 @@ class TestPairCheck:
         assert str(exc.value) == (
             "pair {16, 17} lies in two blocks: ('8', '16', '17') and ('16', '17', '18')"
         )
+
+
+class TestPickle:
+    def test_round_trip_after_kernel_use(self):
+        # The kernels cache a compiled index on the system; pickle and
+        # copy rebuild the system from its order, blocks and labels.
+        base = random_system(13, johnson_schonheim(13), 5)
+        system = validate_system(14, [[f"x{p}" for p in blk] for blk in base.blocks])
+        decision = decide(system, budget=500)
+        assert system.labels[-1] == "13"
+        for other in (pickle.loads(pickle.dumps(system)), copy.copy(system),
+                      copy.deepcopy(system)):
+            assert other == system and other is not system
+            assert other.lead == system.lead and other.block_masks == system.block_masks
+            assert other.labels == system.labels
+            assert decide(other, budget=500) == decision

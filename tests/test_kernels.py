@@ -1,11 +1,49 @@
-"""The kernel seam and the pure-Python kernels."""
+"""The kernel seam, the kernels, and the compiled partition test.
 
+The partition and scan tests run twice: as they stand, on the compiled
+test where it can be built, and once more with the ``python_path``
+fixture, on the Python recursion.
+"""
+
+import copy
+import hashlib
 import itertools
 import random
+import shutil
+import sysconfig
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pstseq
-from pstseq import TripleSystem, _pykernels as pure, johnson_schonheim, kernels, random_system
+from pstseq import (
+    TripleSystem,
+    _pykernels as pure,
+    cli,
+    construct,
+    decide,
+    johnson_schonheim,
+    kernels,
+    random_system,
+)
 from conftest import oracle_has_partition_subsets
+
+
+@pytest.fixture
+def python_path(monkeypatch):
+    """The Python recursion for every system built under the fixture:
+    the compiled extension counts as one that could not be built."""
+    monkeypatch.setattr(pure, "_native", False)
+
+
+@pytest.fixture(scope="module")
+def native():
+    """The compiled extension; the test is skipped where it cannot be built."""
+    module = pure._native if pure._native is not None else pure._load_native()
+    if not module:
+        pytest.skip("the partition extension cannot be built here")
+    return module
 
 
 def test_prepare_returns_pure_kernels():
@@ -162,3 +200,154 @@ def test_benchmark_hooks(monkeypatch):
     hits = mod.inadmissible_scan(system, perm, False)
     assert hits and calls["find_partition"] == len(hits)
     assert calls["can_partition"] == searched
+
+
+@pytest.mark.usefixtures("python_path")
+def test_pure_partition_matches_subset_oracle_python():
+    test_pure_partition_matches_subset_oracle()
+
+
+@pytest.mark.usefixtures("python_path")
+def test_partition_matches_all_blocks_search_python():
+    test_partition_matches_all_blocks_search()
+
+
+@pytest.mark.usefixtures("python_path")
+def test_scan_matches_unfiltered_scan_python():
+    test_scan_matches_unfiltered_scan()
+
+
+def _python_twin(system):
+    """A copy of ``system`` that runs the Python recursion."""
+    twin = copy.copy(system)
+    twin._native = False
+    return twin
+
+
+@st.composite
+def _systems_and_masks(draw):
+    # Orders and block counts near-uniform (``sampled_from``; ``integers``
+    # favours the ends of its range).  Random subsets, and unions of
+    # disjoint blocks, which split.  On sets of many more than 30 points
+    # the Python recursion can take seconds, so the subsets of a
+    # multiple of 3 points and the unions stop at 30.
+    n = draw(st.sampled_from(range(65)))
+    target = draw(st.sampled_from(range(johnson_schonheim(n) + 1)))
+    system = random_system(n, target, draw(st.integers(0, 10**6)))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    masks = [0]
+    for _ in range(20):
+        masks.append(rng.getrandbits(n) if n else 0)
+        size = rng.randrange(0, min(n, 30) + 1, 3)
+        masks.append(sum(1 << p for p in rng.sample(range(n), size)))
+        union, cap = 0, rng.randrange(3, 31, 3)
+        for m in rng.sample(system.block_masks, len(system.block_masks)):
+            if not m & union and union.bit_count() < cap:
+                union |= m
+        masks.append(union)
+    return system, masks
+
+
+@settings(max_examples=120, deadline=None)
+@given(_systems_and_masks())
+def test_native_matches_python_recursion(native, case):
+    system, masks = case
+    handle = native.prepare(system.n, system.lead)
+    twin = _python_twin(system)
+    for mask in masks:
+        parts = pure.find_partition(twin, mask)
+        splits = mask.bit_count() % 3 == 0 and pure._split(twin, mask)
+        assert native.split(handle, mask) == splits
+        assert native.find(handle, mask) == parts
+        assert pure.find_partition(system, mask) == parts
+        assert pure.can_partition(system, mask) == (parts is not None)
+
+
+def test_native_serves_orders_up_to_64(native):
+    for n, expect in ((0, True), (64, True), (65, False), (70, False)):
+        system = random_system(n, min(20, johnson_schonheim(n)), 1)
+        assert system._native is None
+        pure.can_partition(system, 0)
+        assert (type(system._native).__name__ == "PyCapsule") is expect
+        if not expect:
+            assert system._native is False
+
+
+def test_native_checks_its_arguments(native):
+    system = random_system(13, johnson_schonheim(13), 1)
+    handle = native.prepare(13, system.lead)
+    with pytest.raises(ValueError):
+        native.split(object(), 7)
+    with pytest.raises(TypeError):
+        native.split(handle, "7")
+    with pytest.raises(OverflowError):
+        native.find(handle, 1 << 64)
+    with pytest.raises(OverflowError):
+        native.split(handle, -1)
+    with pytest.raises(TypeError):
+        native.split(handle)
+    with pytest.raises(ValueError):
+        native.prepare(65, ((),) * 65)
+    with pytest.raises(TypeError):
+        native.prepare(13, list(system.lead))
+    with pytest.raises(ValueError):
+        native.prepare(13, system.lead[1:] + ((),))
+    with pytest.raises(TypeError):
+        native.prepare(13, ((7,),) + system.lead[1:])
+
+
+def _outputs(capsys):
+    """``decide``, ``construct`` and ``hunt`` outputs on freshly built systems."""
+    out = []
+    for n, target in ((13, 26), (15, 35), (19, 57), (70, 30)):
+        for seed in range(4):
+            out.append(decide(random_system(n, target, seed), budget=200))
+    for n in (9, 12, 16, 20, 64, 70):
+        for seed in range(3):
+            out.append(construct(random_system(n, 4, seed)))
+    for order in (13, 15):
+        code = cli.main(["hunt", "--order", str(order), "--seeds", "0..19", "--budget", "200"])
+        out.append((code, capsys.readouterr().out))
+    return out
+
+
+@pytest.mark.parametrize("breakage", ["compiler", "cache"])
+def test_failed_build_falls_back_once(monkeypatch, tmp_path, capsys, breakage):
+    # The build is tried on the first kernel call, once per process, and
+    # a failed one leaves every output as it was.
+    expected = _outputs(capsys)
+    source = tmp_path / "_native.c"
+    shutil.copy(pure._SOURCE, source)
+    if breakage == "compiler":
+        monkeypatch.setitem(sysconfig.get_config_vars(), "LDSHARED", "no-such-compiler-for-pstseq")
+    else:
+        (tmp_path / "__pycache__").write_text("a file where the cache directory goes\n")
+    monkeypatch.setattr(pure, "_SOURCE", str(source))
+    monkeypatch.setattr(pure, "_native", None)
+    builds = []
+    compile_ = pure._compile
+    monkeypatch.setattr(pure, "_compile", lambda *args: builds.append(args) or compile_(*args))
+    assert _outputs(capsys) == expected
+    assert pure._native is False and len(builds) == 1
+    if breakage == "compiler":
+        assert list((tmp_path / "__pycache__").iterdir()) == []
+
+
+def test_build_is_cached_by_source_digest(native, monkeypatch, tmp_path):
+    # A fresh build lands in the ``__pycache__`` next to the source under
+    # a name keyed by the source's digest, with no temporary file left.
+    source = tmp_path / "_native.c"
+    shutil.copy(pure._SOURCE, source)
+    monkeypatch.setattr(pure, "_SOURCE", str(source))
+    monkeypatch.setattr(pure, "_native", None)
+    built = pure._load_native()
+    assert built and pure._native is built
+    digest = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == [f"_native.{digest}{suffix}"]
+    system = random_system(13, johnson_schonheim(13), 2)
+    handle = built.prepare(13, system.lead)
+    twin = _python_twin(system)
+    full = (1 << 13) - 1
+    for p in range(13):
+        assert built.find(handle, full ^ 1 << p) == pure.find_partition(twin, full ^ 1 << p)
