@@ -93,6 +93,7 @@ def _compile(cache, path, suffix):
     ``LDSHARED`` and ``CCSHARED`` flags, through a temporary file that
     ``os.replace`` moves into place, so that a concurrent process never
     loads a partial file."""
+    import contextlib
     import shlex
     import subprocess
     import sysconfig
@@ -111,6 +112,12 @@ def _compile(cache, path, suffix):
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # Builds of earlier sources are never loaded again.
+    for name in os.listdir(cache):
+        stale = os.path.join(cache, name)
+        if stale != path and name.startswith("_native.") and name.endswith(suffix):
+            with contextlib.suppress(OSError):
+                os.unlink(stale)
 
 
 def _handle(sys):

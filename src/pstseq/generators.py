@@ -170,6 +170,8 @@ def random_system(n: int, target_blocks: int, seed: int) -> TripleSystem:
         raise ValueError(
             f"order and target block count must be integers, got {n!r} and {target_blocks!r}"
         )
+    if not _is_plain_int(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     bound = johnson_schonheim(n)
     if target_blocks < 0:
         raise ValueError(f"target block count must be nonnegative, got {target_blocks}")

@@ -30,8 +30,10 @@ from .core import (
     _checked_budget,
     _checked_permutation,
     _is_plain_int,
+    _mask_of,
     _Record,
     is_admissible,
+    partition_into_blocks,
 )
 from .errors import (
     BudgetExhausted,
@@ -39,7 +41,6 @@ from .errors import (
     InputError,
     NoAdmissibleLabeling,
     NotSequenceableSystem,
-    PointOutOfRange,
     RepairFailed,
     ResidualNotAdmissible,
     SequenceNotPermutation,
@@ -369,23 +370,21 @@ def extend(
     appended in canonical order and the result scanned once.  A
     splitting segment inside the residual and short of all 12 points
     raises ``ResidualNotAdmissible``, any other ``ValueError``.  A
-    residual point outside ``range(system.n)`` raises ``PointOutOfRange``.
+    residual point that is not an integer in ``range(system.n)`` raises
+    ``PointOutOfRange``.
     """
-    pts = sorted(set(residual_points))
+    mask = _mask_of(residual_points, system)
+    pts = [p for p in system.points() if mask >> p & 1]
     if len(pts) != 12:
         raise ValueError(f"residual must have 12 points, got {len(pts)}")
     if system.n < 13:
         raise ValueError(f"extension needs order >= 13, got {system.n}")
-    if pts[0] < 0 or pts[-1] >= system.n:
-        raise PointOutOfRange(
-            f"residual points must lie in 0..{system.n - 1}, got {pts[0]}..{pts[-1]}"
-        )
     entries = tuple(
         residual_sequence.entries
         if isinstance(residual_sequence, Sequence)
         else residual_sequence
     )
-    if sorted(entries) != pts:
+    if len(entries) != len(pts) or set(entries) != set(pts):
         raise SequenceNotPermutation(
             "residual sequence is not a permutation of the residual points"
         )
@@ -560,17 +559,17 @@ def construct(system: TripleSystem, budget: Optional[int] = DEFAULT_BUDGET) -> S
 
 
 _STS13_BASES = ((0, 1, 4), (0, 2, 7))
-_STS13_QUAD = ((0, 2, 7), (1, 3, 8), (5, 6, 9), (4, 10, 12))
 
 
 def verify_sts13_certificate() -> Sts13Certificate:
     """Certify that the cyclic order-13 system is not sequenceable.
 
     Develops the system from its two base blocks, then for every vertex
-    rotates a fixed family of four disjoint blocks onto a family
-    avoiding that vertex and checks it.  Once every vertex has such a
+    asks ``partition_into_blocks`` for four disjoint blocks of the
+    system covering the other 12 points.  Once every vertex has such a
     family, any permutation has partitionable 12-segments after
     dropping its first or last entry, so no admissible sequence exists.
+    Each family is vertex 11's turned by the entry's ``exponent``.
     """
     system = cyclic_system(CyclicBase(13, _STS13_BASES))
     # The blocks are pair-disjoint, so 26 of them cover 26 * 3 = 78 =
@@ -579,20 +578,8 @@ def verify_sts13_certificate() -> Sts13Certificate:
         raise CertificateFailure(f"expected 26 blocks, built {len(system.blocks)}")
     entries = []
     for vertex in range(13):
-        exponent = (vertex - 11) % 13
-        rotated = tuple(
-            Block(tuple(sorted((x + exponent) % 13 for x in q))) for q in _STS13_QUAD
-        )
-        cover = 0
-        for blk in rotated:
-            if not system.is_block(blk.points):
-                raise CertificateFailure(f"{blk.points} is not a block of the system")
-            if cover & blk.mask:
-                raise CertificateFailure(f"blocks for vertex {vertex} overlap")
-            cover |= blk.mask
-        if cover != system.full_mask() & ~(1 << vertex):
-            raise CertificateFailure(
-                f"blocks for vertex {vertex} do not cover exactly the other 12 points"
-            )
-        entries.append(CertificateEntry(vertex=vertex, exponent=exponent, blocks=rotated))
+        witness = partition_into_blocks([p for p in range(13) if p != vertex], system)
+        if witness is None:
+            raise CertificateFailure(f"no four disjoint blocks avoid vertex {vertex}")
+        entries.append(CertificateEntry(vertex, (vertex - 11) % 13, witness.parts))
     return Sts13Certificate(entries=tuple(entries), system=system)

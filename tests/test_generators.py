@@ -269,6 +269,14 @@ def test_random_system_non_integer_arguments_rejected(n, target):
         random_system(n, target, 0)
 
 
+@pytest.mark.parametrize("seed", [None, True, "7"])
+def test_random_system_non_integer_seed_rejected(seed):
+    # ``random.Random(None)`` seeds from the clock, so such a call would
+    # name a different system each time.
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        random_system(13, 10, seed)
+
+
 @pytest.mark.parametrize("call,message", [
     (lambda: johnson_schonheim(-1), "order must be nonnegative"),
     (lambda: random_system(9, -1, 0), "target block count must be nonnegative"),

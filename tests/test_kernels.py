@@ -335,16 +335,21 @@ def test_failed_build_falls_back_once(monkeypatch, tmp_path, capsys, breakage):
 
 def test_build_is_cached_by_source_digest(native, monkeypatch, tmp_path):
     # A fresh build lands in the ``__pycache__`` next to the source under
-    # a name keyed by the source's digest, with no temporary file left.
+    # a name keyed by the source's digest, with no temporary file left,
+    # and the build of an earlier source is removed; other files stay.
     source = tmp_path / "_native.c"
     shutil.copy(pure._SOURCE, source)
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    (cache / f"_native.0123456789abcdef{suffix}").write_bytes(b"an earlier build")
+    (cache / "other.pyc").write_bytes(b"not a build")
     monkeypatch.setattr(pure, "_SOURCE", str(source))
     monkeypatch.setattr(pure, "_native", None)
     built = pure._load_native()
     assert built and pure._native is built
     digest = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
-    suffix = sysconfig.get_config_var("EXT_SUFFIX")
-    assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == [f"_native.{digest}{suffix}"]
+    assert sorted(p.name for p in cache.iterdir()) == [f"_native.{digest}{suffix}", "other.pyc"]
     system = random_system(13, johnson_schonheim(13), 2)
     handle = built.prepare(13, system.lead)
     twin = _python_twin(system)

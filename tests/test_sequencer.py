@@ -322,6 +322,7 @@ class TestExtend:
         (13, range(11), range(11), ValueError, "residual must have 12 points"),
         (12, range(12), range(12), ValueError, "extension needs order >= 13"),
         (13, range(12), [*range(11), 12], SequenceNotPermutation, "not a permutation"),
+        (13, range(12), [*range(11), "11"], SequenceNotPermutation, "not a permutation"),
     ])
     def test_bad_residual_arguments_rejected(self, n, residual, order, error, message):
         system = validate_system(n, [[0, 1, 2]])
@@ -331,7 +332,8 @@ class TestExtend:
     def test_residual_points_out_of_range_rejected(self):
         system = friendship_chain([2, 2, 2])
         assert system.n == 13
-        for residual in ([-1, *range(11)], [*range(11), 16]):
+        for residual in ([-1, *range(11)], [*range(11), 16], list(map(str, range(12))),
+                         [None, *range(11)]):
             with pytest.raises(PointOutOfRange):
                 extend(system, residual, residual)
 
@@ -462,6 +464,15 @@ class TestSts13Certificate:
     def test_vertex_12_is_one_rotation(self):
         cert = verify_sts13_certificate()
         assert cert.entries[12].exponent == 1
+
+    def test_every_family_is_vertex_11s_turned_by_its_exponent(self):
+        # The families come from the partition search; this keeps the
+        # ``exponent`` field and the CLI's "rotation N" line true.
+        cert = verify_sts13_certificate()
+        base = [b.points for b in cert.entries[11].blocks]
+        for entry in cert.entries:
+            turned = {tuple(sorted((x + entry.exponent) % 13 for x in q)) for q in base}
+            assert {b.points for b in entry.blocks} == turned
 
     def test_monte_carlo_consistency(self):
         import random as _random
