@@ -1,20 +1,27 @@
-/* Exact partition of a point set into disjoint blocks, for systems of
- * order at most 64, whose point sets fit one 64-bit word.
+/* The compiled kernels, for systems of order at most 64, whose point
+ * sets fit one 64-bit word.
  *
- * The same least-point recursion as ``_pykernels._split``: branch on the
- * least point p of the target and try the blocks led by p in canonical
- * order.  ``prepare(n, lead)`` flattens a system's ``lead`` into an
- * index held by a capsule; ``split(index, mask)`` says whether ``mask``
- * partitions, and ``find(index, mask)`` gives the block ids of the
- * partition in the order ``_pykernels.find_partition`` gives them, or
- * None.  ``_pykernels`` builds this file on first use and falls back to
- * its own recursion when the build fails.
+ * Exact partition of a point set into disjoint blocks, by the same
+ * least-point recursion as ``_pykernels._split``: branch on the least
+ * point p of the target and try the blocks led by p in canonical order.
+ * ``prepare(n, lead)`` flattens a system's ``lead`` into an index held
+ * by a capsule; ``split(index, mask)`` says whether ``mask`` partitions,
+ * and ``find(index, mask)`` gives the block ids of the partition in the
+ * order ``_pykernels.find_partition`` gives them, or None.
+ *
+ * ``greedy(n, target, words)`` is the shuffle and pair-disjoint scan of
+ * ``generators.random_system``, fed with the generator's 32-bit outputs,
+ * and ``pack(block_masks, budget)`` is ``_pykernels.max_packing``.
+ *
+ * ``_pykernels`` builds this file on first use; where the build fails,
+ * the Python code that each function mirrors runs instead.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define CAPSULE_NAME "pstseq._native.index"
 #define MAX_ORDER 64
@@ -192,6 +199,288 @@ native_find(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return out;
 }
 
+/* Output ``t`` of the generator, from the little-endian 32-bit words of
+ * ``getrandbits(32 * m)``. */
+static uint32_t
+word_at(const unsigned char *words, Py_ssize_t t)
+{
+    const unsigned char *b = words + 4 * t;
+    return (uint32_t)b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16 | (uint32_t)b[3] << 24;
+}
+
+static PyObject *
+triple(int a, int b, int c)
+{
+    PyObject *t = PyTuple_New(3);
+    if (t == NULL) {
+        return NULL;
+    }
+    int points[3] = {a, b, c};
+    for (int i = 0; i < 3; i++) {
+        PyObject *p = PyLong_FromLong(points[i]);
+        if (p == NULL) {
+            Py_DECREF(t);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(t, i, p);
+    }
+    return t;
+}
+
+/* ``greedy(n, target, words)``: the triples of ``range(n)`` in
+ * lexicographic order, shuffled by ``generators._shuffle``'s rejection
+ * loop on the outputs in ``words``, then taken pair-disjoint in shuffled
+ * order up to ``target``.  Returns the chosen triples in lexicographic
+ * order, or None when the shuffle needs more outputs than ``words``
+ * holds. */
+static PyObject *
+native_greedy(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "greedy(n, target, words) takes 3 arguments");
+        return NULL;
+    }
+    long n = PyLong_AsLong(args[0]);
+    if (n == -1 && PyErr_Occurred()) {
+        return NULL;
+    }
+    if (n < 0 || n > MAX_ORDER) {
+        PyErr_SetString(PyExc_ValueError, "order must lie in [0, 64]");
+        return NULL;
+    }
+    long target = PyLong_AsLong(args[1]);
+    if (target == -1 && PyErr_Occurred()) {
+        return NULL;
+    }
+    if (target < 0) {
+        PyErr_SetString(PyExc_ValueError, "target must be nonnegative");
+        return NULL;
+    }
+    if (!PyBytes_Check(args[2])) {
+        PyErr_SetString(PyExc_TypeError, "words must be bytes");
+        return NULL;
+    }
+    const unsigned char *words = (const unsigned char *)PyBytes_AS_STRING(args[2]);
+    Py_ssize_t nwords = PyBytes_GET_SIZE(args[2]) / 4;
+
+    uint32_t count = n * (n - 1) * (n - 2) / 6;
+    /* code[i] packs triple i as a | b << 8 | c << 16; perm is shuffled;
+     * pick[i] marks the chosen triples. */
+    uint32_t *code = malloc(count * (2 * sizeof(uint32_t) + 1) + 1);
+    if (code == NULL) {
+        return PyErr_NoMemory();
+    }
+    uint32_t *perm = code + count;
+    unsigned char *pick = (unsigned char *)(perm + count);
+    uint32_t i = 0;
+    for (uint32_t a = 0; a < (uint32_t)n; a++) {
+        for (uint32_t b = a + 1; b < (uint32_t)n; b++) {
+            for (uint32_t c = b + 1; c < (uint32_t)n; c++, i++) {
+                code[i] = a | b << 8 | c << 16;
+                perm[i] = i;
+                pick[i] = 0;
+            }
+        }
+    }
+
+    /* k is the bit length of i + 1; it drops when i drops below low. */
+    int k = 0;
+    while (k < 32 && count >> k) {
+        k++;
+    }
+    uint32_t low = (((uint32_t)1 << k) >> 1) - 1;
+    Py_ssize_t t = 0;
+    for (i = count - 1; count > 1 && i > 0; i--) {
+        if (i < low) {
+            k--;
+            low >>= 1;
+        }
+        uint32_t j;
+        do {
+            if (t == nwords) {
+                free(code);
+                Py_RETURN_NONE;
+            }
+            j = word_at(words, t++) >> (32 - k);
+        } while (j > i);
+        uint32_t swap = perm[i];
+        perm[i] = perm[j];
+        perm[j] = swap;
+    }
+
+    unsigned char used[MAX_ORDER * MAX_ORDER] = {0};
+    Py_ssize_t chosen = 0;
+    for (i = 0; i < count && chosen < target; i++) {
+        uint32_t c = code[perm[i]];
+        int ab = (c & 0xff) * MAX_ORDER + (c >> 8 & 0xff);
+        int ac = (c & 0xff) * MAX_ORDER + (c >> 16);
+        int bc = (c >> 8 & 0xff) * MAX_ORDER + (c >> 16);
+        if (used[ab] || used[ac] || used[bc]) {
+            continue;
+        }
+        used[ab] = used[ac] = used[bc] = 1;
+        pick[perm[i]] = 1;
+        chosen++;
+    }
+
+    PyObject *out = PyTuple_New(chosen);
+    for (i = 0, t = 0; out != NULL && t < chosen; i++) {
+        if (pick[i]) {
+            uint32_t c = code[i];
+            PyObject *tri = triple(c & 0xff, c >> 8 & 0xff, c >> 16);
+            if (tri == NULL) {
+                Py_CLEAR(out);
+                break;
+            }
+            PyTuple_SET_ITEM(out, t++, tri);
+        }
+    }
+    free(code);
+    return out;
+}
+
+typedef struct {
+    uint64_t used;
+    Py_ssize_t next;
+    int depth;
+} Task;
+
+/* ``pack(block_masks, budget)``: ``_pykernels.max_packing`` on the
+ * blocks' masks, with the same bounds, visit order and node count; a
+ * budget of None or of 2**63 or more sets no limit.  Returns (size,
+ * witness ids, nodes, complete). */
+static PyObject *
+native_pack(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "pack(block_masks, budget) takes 2 arguments");
+        return NULL;
+    }
+    PyObject *blocks = args[0];
+    if (!PyTuple_Check(blocks)) {
+        PyErr_SetString(PyExc_TypeError, "block_masks must be a tuple");
+        return NULL;
+    }
+    long long budget = -1;
+    if (args[1] != Py_None) {
+        int overflow;
+        long long b = PyLong_AsLongLongAndOverflow(args[1], &overflow);
+        if (b == -1 && PyErr_Occurred()) {
+            return NULL;
+        }
+        if (overflow < 0 || (overflow == 0 && b < 0)) {
+            PyErr_SetString(PyExc_ValueError, "budget must be nonnegative");
+            return NULL;
+        }
+        if (overflow == 0) {
+            budget = b;
+        }
+    }
+    Py_ssize_t nb = PyTuple_GET_SIZE(blocks);
+    /* masks, then reach and hit: the blocks from j on reach reach[j] and
+     * all meet hit[j]; then the stack of branches still to take. */
+    uint64_t *masks = malloc((3 * nb + 2) * sizeof(uint64_t) + (nb + 1) * sizeof(Task));
+    if (masks == NULL) {
+        return PyErr_NoMemory();
+    }
+    uint64_t *reach = masks + nb;
+    uint64_t *hit = reach + nb + 1;
+    Task *stack = (Task *)(hit + nb + 1);
+    int deg[MAX_ORDER] = {0};
+    for (Py_ssize_t j = 0; j < nb; j++) {
+        uint64_t m = PyLong_AsUnsignedLongLong(PyTuple_GET_ITEM(blocks, j));
+        if (m == (uint64_t)-1 && PyErr_Occurred()) {
+            free(masks);
+            return NULL;
+        }
+        if (__builtin_popcountll(m) != 3) {
+            free(masks);
+            PyErr_SetString(PyExc_ValueError, "each block mask must hold 3 points");
+            return NULL;
+        }
+        masks[j] = m;
+        for (uint64_t rest = m; rest; rest &= rest - 1) {
+            deg[__builtin_ctzll(rest)]++;
+        }
+    }
+    uint64_t r = 0, h = 0;
+    for (Py_ssize_t j = nb - 1; j >= 0; j--) {
+        uint64_t m = masks[j];
+        r |= m;
+        if (!(m & h)) {
+            /* The point of highest degree, the least on a tie. */
+            int a = __builtin_ctzll(m);
+            int b = __builtin_ctzll(m & (m - 1));
+            int c = 63 - __builtin_clzll(m);
+            if (deg[a] >= deg[b] && deg[a] >= deg[c]) {
+                h |= (uint64_t)1 << a;
+            }
+            else if (deg[b] >= deg[c]) {
+                h |= (uint64_t)1 << b;
+            }
+            else {
+                h |= (uint64_t)1 << c;
+            }
+        }
+        reach[j] = r;
+        hit[j] = h;
+    }
+
+    /* Each branch point pushes the exclude branch and goes on with the
+     * include branch, so branches are taken in the recursive order.  The
+     * ``next`` fields on the stack rise strictly, so it holds at most nb
+     * entries, and the chosen blocks are disjoint, so at most 21. */
+    Py_ssize_t chosen[MAX_PARTS], witness[MAX_PARTS];
+    int best = 0, complete = 1;
+    long long nodes = 0;
+    int sp = 0;
+    stack[sp++] = (Task){0, 0, 0};
+    while (sp > 0 && complete) {
+        Task task = stack[--sp];
+        uint64_t used = task.used;
+        Py_ssize_t j = task.next;
+        int depth = task.depth;
+        for (;;) {
+            if (budget >= 0 && nodes >= budget) {
+                complete = 0;
+                break;
+            }
+            nodes++;
+            while (j < nb && masks[j] & used) {
+                j++;
+            }
+            if (j == nb) {
+                if (depth > best) {
+                    best = depth;
+                    memcpy(witness, chosen, depth * sizeof(Py_ssize_t));
+                }
+                break;
+            }
+            int room = best - depth;
+            if (__builtin_popcountll(hit[j] & ~used) <= room
+                || __builtin_popcountll(reach[j] & ~used) / 3 <= room) {
+                break;
+            }
+            stack[sp++] = (Task){used, j + 1, depth};
+            chosen[depth++] = j;
+            used |= masks[j];
+            j++;
+        }
+    }
+    free(masks);
+
+    PyObject *ids = PyTuple_New(best);
+    for (int i = 0; ids != NULL && i < best; i++) {
+        PyObject *bid = PyLong_FromSsize_t(witness[i]);
+        if (bid == NULL) {
+            Py_CLEAR(ids);
+            break;
+        }
+        PyTuple_SET_ITEM(ids, i, bid);
+    }
+    return Py_BuildValue("(iNLN)", best, ids, nodes, PyBool_FromLong(complete));
+}
+
 static PyMethodDef native_methods[] = {
     {"prepare", (PyCFunction)(void (*)(void))native_prepare, METH_FASTCALL,
      "prepare(n, lead): the partition index of a system of order n <= 64."},
@@ -199,12 +488,16 @@ static PyMethodDef native_methods[] = {
      "split(index, mask): whether mask partitions into disjoint blocks."},
     {"find", (PyCFunction)(void (*)(void))native_find, METH_FASTCALL,
      "find(index, mask): the block ids of a partition of mask, or None."},
+    {"greedy", (PyCFunction)(void (*)(void))native_greedy, METH_FASTCALL,
+     "greedy(n, target, words): random_system's triples from the generator's outputs, or None."},
+    {"pack", (PyCFunction)(void (*)(void))native_pack, METH_FASTCALL,
+     "pack(block_masks, budget): max_packing's (size, witness ids, nodes, complete)."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef native_module = {
     PyModuleDef_HEAD_INIT, "_native",
-    "Exact partition into disjoint blocks for orders up to 64.", -1, native_methods,
+    "The compiled kernels for orders up to 64.", -1, native_methods,
     NULL, NULL, NULL, NULL,
 };
 

@@ -12,14 +12,18 @@ while it checks its pairs; its docstring describes them.
 Point sets travel as integer bitmasks.  Python integers are unbounded,
 so there is no limit on the order of the system.
 
-The partition test alone has a second implementation: ``_native.c``, a
-C extension running the same least-point recursion on one 64-bit word,
-serves ``can_partition``, ``find_partition`` and ``inadmissible_scan``
-for systems of order at most 64.  It is compiled with the system C
-compiler on the first kernel call in a process, never at import, and
-cached in this package's ``__pycache__`` (see ``_load_native``).  Larger
-orders, and hosts where the build fails, run ``_split`` here, which
-gives the same answers and the same parts in the same order.
+The partition test and the packing search have a second
+implementation in ``_native.c``, a C extension working on one 64-bit
+word, for systems of order at most 64: it runs the same least-point
+recursion for ``can_partition``, ``find_partition`` and
+``inadmissible_scan``, and the same branch-and-bound for
+``max_packing``.  ``generators.random_system`` takes its shuffle and
+scan from the same extension.  It is compiled with the system C
+compiler on the first call in a process that needs it, never at
+import, and cached in this package's ``__pycache__`` (see
+``_load_native``).  Larger orders, and hosts where the build fails, run
+the Python code here, which gives the same answers, parts and counts in
+the same order.
 """
 
 from __future__ import annotations
@@ -43,12 +47,12 @@ def _split(sys, target, parts=None):
     return False
 
 
-#: The source of the compiled partition test.  Its builds are cached in
+#: The source of the compiled kernels.  Its builds are cached in
 #: the ``__pycache__`` directory next to it.
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native.c")
 
 #: The compiled extension once loaded, False once it could not be; None
-#: until the first kernel call that asks for it.
+#: until the first call that asks for it.
 _native = None
 
 
@@ -62,7 +66,7 @@ def _load_native():
     extension suffixes, so an edited source or another interpreter gets
     its own; ``sysconfig`` is imported only to build.  It is tried once
     per process: a missing compiler or header, a directory that cannot
-    be written, a timeout or an import error leaves the Python recursion
+    be written, a timeout or an import error leaves the Python code
     in charge, silently.
     """
     global _native
@@ -86,6 +90,12 @@ def _load_native():
         return False
     _native = module
     return module
+
+
+def _extension():
+    """The compiled extension, loaded on the first call of a process;
+    False where it could not be built."""
+    return _native if _native is not None else _load_native()
 
 
 def _compile(cache, path, suffix):
@@ -129,7 +139,7 @@ def _handle(sys):
     """
     handle = sys._native
     if handle is None:
-        native = sys.n <= 64 and (_native if _native is not None else _load_native())
+        native = sys.n <= 64 and _extension()
         handle = sys._native = native.prepare(sys.n, sys.lead) if native else False
     return handle
 
@@ -323,8 +333,16 @@ def max_packing(sys, budget=None):
     ids, nodes, complete).  Branch order, bounds and node count are
     part of the contract: the tests pin all four values per system
     against an independent reference copy of these bounds.
+
+    Systems of order at most 64 run ``pack`` in the compiled extension,
+    which gives the same four values; larger ones, and hosts where the
+    build fails, run the search here.
     """
     masks = sys.block_masks
+    if sys.n <= 64:
+        native = _extension()
+        if native:
+            return native.pack(masks, budget)
     triples = sys.triples
     nblocks = len(masks)
     deg = [0] * sys.n
@@ -352,33 +370,33 @@ def max_packing(sys, budget=None):
     best = 0
     witness = ()
     nodes = 0
-    complete = True
     chosen = []
-
-    def rec(i, used):
-        nonlocal best, witness, nodes, complete
-        if not complete:
-            return
-        if budget is not None and nodes >= budget:
-            complete = False
-            return
-        nodes += 1
-        j = i
-        while j < nblocks and masks[j] & used:
+    # Each branch point pushes its exclude branch (the next block, the
+    # points used, the packing size) and goes on with the include
+    # branch, so branches are taken in the order of the include-first
+    # recursion without nesting a call per branch.
+    stack = [(0, 0, 0)]
+    while stack:
+        j, used, depth = stack.pop()
+        del chosen[depth:]
+        while True:
+            if budget is not None and nodes >= budget:
+                return best, witness, nodes, False
+            nodes += 1
+            while j < nblocks and masks[j] & used:
+                j += 1
+            if j == nblocks:
+                if depth > best:
+                    best = depth
+                    witness = tuple(chosen)
+                break
+            free = ~used
+            room = best - depth
+            if (hit[j] & free).bit_count() <= room or (reach[j] & free).bit_count() // 3 <= room:
+                break
+            stack.append((j + 1, used, depth))
+            chosen.append(j)
+            depth += 1
+            used |= masks[j]
             j += 1
-        if j == nblocks:
-            if len(chosen) > best:
-                best = len(chosen)
-                witness = tuple(chosen)
-            return
-        free = ~used
-        room = best - len(chosen)
-        if (hit[j] & free).bit_count() <= room or (reach[j] & free).bit_count() // 3 <= room:
-            return
-        chosen.append(j)
-        rec(j + 1, used | masks[j])
-        chosen.pop()
-        rec(j + 1, used)
-
-    rec(0, 0)
-    return best, witness, nodes, complete
+    return best, witness, nodes, True

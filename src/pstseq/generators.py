@@ -7,6 +7,7 @@ import itertools
 import random
 from typing import Sequence as Seq
 
+from . import _pykernels
 from .core import TripleSystem, _is_plain_int, _Record, _sorted_block, validate_system
 from .errors import DevelopmentCollision, PairInTwoBlocks, SizeTooSmall
 
@@ -155,16 +156,28 @@ def random_system(n: int, target_blocks: int, seed: int) -> TripleSystem:
 
     Deterministic per seed.  Stops at the target or at saturation, so the
     result may hold fewer blocks than requested; the caller reads the
-    achieved count off the system.  The triples come from
-    ``_triple_table``, built once per order with the ids of their pairs,
-    and used pairs are marked in a ``bytearray`` indexed by those ids.
-    The chosen triples are sorted, distinct, in range and pair-disjoint
-    by construction, so the system is built directly, without
-    ``validate_system``.  The shuffle and the scan order are part of the
+    achieved count off the system.  The triples of ``range(n)`` are
+    shuffled in lexicographic order by ``random.Random(seed).shuffle``,
+    then scanned in shuffled order, taking each triple none of whose
+    pairs is used yet.  The shuffle and the scan order are part of the
     contract, so a seed names the same system across versions; the tests
     pin it against an independent pair-set reference and by a digest.
-    The shuffle is ``random.Random(seed).shuffle`` with its draw helper
-    inlined (``_shuffle``); a test checks it against the stdlib one.
+
+    Orders up to 64 run the shuffle and the scan in the compiled
+    extension (``_native_greedy``).  For a draw width ``k <= 32``,
+    ``getrandbits(k)`` is the generator's next 32-bit output shifted
+    right by ``32 - k``, and ``getrandbits(32 * m)`` holds ``m``
+    successive outputs as little-endian 32-bit words; so one
+    ``getrandbits`` call feeds the whole shuffle, which the extension
+    runs with the stdlib's rejection of draws above ``i``.  Larger
+    orders, and hosts where the build fails, run ``_greedy``: the stdlib
+    shuffle with its draw helper inlined (``_shuffle``; a test checks it
+    against the stdlib one) over ``_triple_table``, built once per order
+    with the ids of the pairs of each triple, and used pairs marked in a
+    ``bytearray`` indexed by those ids.  Either way the chosen triples
+    come sorted, distinct, in range and pair-disjoint, so the system is
+    built directly, without ``validate_system``; ``TripleSystem`` still
+    checks the pairs.
     """
     if not (_is_plain_int(n) and _is_plain_int(target_blocks)):
         raise ValueError(
@@ -179,19 +192,45 @@ def random_system(n: int, target_blocks: int, seed: int) -> TripleSystem:
         raise ValueError(
             f"target {target_blocks} exceeds the order-{n} block bound {bound}"
         )
-    chosen = []
+    chosen = ()
     if target_blocks:
-        table = list(_triple_table(n))
-        _shuffle(table, random.Random(seed).getrandbits)
-        used = bytearray(n * n)
-        wanted = target_blocks
-        for t, ab, ac, bc in table:
-            if used[ab] or used[ac] or used[bc]:
-                continue
-            used[ab] = used[ac] = used[bc] = 1
-            chosen.append(t)
-            wanted -= 1
-            if not wanted:
-                break
-        chosen.sort()
+        native = n <= 64 and _pykernels._extension()
+        if native:
+            chosen = _native_greedy(native, n, target_blocks, seed)
+        else:
+            chosen = _greedy(n, target_blocks, seed)
     return TripleSystem(n, tuple(map(_sorted_block, chosen)), tuple(map(str, range(n))))
+
+
+def _native_greedy(native, n, target_blocks, seed):
+    """``random_system``'s shuffle and scan in the compiled extension."""
+    # The shuffle takes one output of the generator per draw, and each
+    # draw is kept with probability at least 1/2, so twice as many outputs
+    # as triples nearly always suffice; on the rare seed that needs more,
+    # the generator is reseeded and twice as many are drawn.
+    words = n * (n - 1) * (n - 2) // 3
+    while True:
+        bits = random.Random(seed).getrandbits(32 * words).to_bytes(4 * words, "little")
+        chosen = native.greedy(n, target_blocks, bits)
+        if chosen is not None:
+            return chosen
+        words *= 2
+
+
+def _greedy(n, target_blocks, seed):
+    """``random_system``'s shuffle and scan in Python; the chosen triples, sorted."""
+    table = list(_triple_table(n))
+    _shuffle(table, random.Random(seed).getrandbits)
+    used = bytearray(n * n)
+    chosen = []
+    wanted = target_blocks
+    for t, ab, ac, bc in table:
+        if used[ab] or used[ac] or used[bc]:
+            continue
+        used[ab] = used[ac] = used[bc] = 1
+        chosen.append(t)
+        wanted -= 1
+        if not wanted:
+            break
+    chosen.sort()
+    return chosen

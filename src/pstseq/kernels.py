@@ -7,7 +7,7 @@ program itself calls ``pstseq._pykernels`` directly on a
 kernel module directly.
 
 ``backend_name`` still says "pure" where ``_pykernels`` runs its
-compiled partition test: ``perfbench/compare.py`` refuses to compare
+compiled kernels: ``perfbench/compare.py`` refuses to compare
 result files whose backend names differ, so a new name would cut every
 comparison with earlier runs.
 """

@@ -20,6 +20,27 @@ from pstseq import (
     random_system,
     validate_system,
 )
+from pstseq import _pykernels
+
+# --------------------------------------------------------------------------
+# the two paths of the kernels and the generator
+
+
+@pytest.fixture
+def python_path(monkeypatch):
+    """The Python code for every call under the fixture: the compiled
+    extension counts as one that could not be built."""
+    monkeypatch.setattr(_pykernels, "_native", False)
+
+
+@pytest.fixture(scope="module")
+def native():
+    """The compiled extension; the test is skipped where it cannot be built."""
+    module = _pykernels._extension()
+    if not module:
+        pytest.skip("the compiled extension cannot be built here")
+    return module
+
 
 # --------------------------------------------------------------------------
 # oracles

@@ -524,7 +524,7 @@ def test_readme_options_exist():
 
 
 def test_import_cli_skips_native_build():
-    # The compiled partition test is built and loaded on the first
-    # kernel call, never at import, so a command that searches nothing
-    # pays neither for it nor for the modules that build it.
+    # The compiled kernels are built and loaded on the first call that
+    # needs them, never at import, so a command that searches nothing
+    # pays neither for them nor for the modules that build them.
     assert not _modules_after_cli_import() & {"pstseq._native", "sysconfig", "subprocess"}

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import os
 import random
 import re
@@ -26,7 +27,7 @@ from pstseq import (
     validate_system,
 )
 from pstseq.errors import DevelopmentCollision, SizeTooSmall
-from pstseq.generators import _shuffle, _triple_table
+from pstseq.generators import _greedy, _native_greedy, _shuffle, _triple_table
 
 
 class TestCyclic:
@@ -160,6 +161,15 @@ def _pair_set_greedy(n, target, seed):
     return sorted(chosen)
 
 
+def _draws(n, seed):
+    """The outputs of ``random.Random(seed)`` that shuffling the triples
+    of ``range(n)`` takes: one per ``getrandbits`` call."""
+    rng = random.Random(seed)
+    calls = []
+    _shuffle(list(range(math.comb(n, 3))), lambda k: calls.append(k) or rng.getrandbits(k))
+    return len(calls)
+
+
 class TestRandomSystem:
     def test_shuffle_matches_stdlib(self):
         # Lengths up to 1100 cross every power-of-two boundary of the
@@ -201,6 +211,60 @@ class TestRandomSystem:
                     saturated += len(expected) < target
         assert saturated > 500
 
+    @pytest.mark.usefixtures("python_path")
+    def test_seed_names_the_same_system_python(self):
+        self.test_seed_names_the_same_system()
+
+    @pytest.mark.usefixtures("python_path")
+    def test_matches_pair_set_reference_python(self):
+        self.test_matches_pair_set_reference()
+
+    def test_native_greedy_runs_out_of_words(self, native):
+        # The shuffle takes as many outputs of the generator as it makes
+        # draws: one output fewer gives None.  Some seeds need more than
+        # the twice-the-triples outputs that ``random_system`` draws
+        # first, and it must draw again and name the same system.
+        short = 0
+        for n in range(4, 8):
+            target = johnson_schonheim(n)
+            for seed in range(100):
+                draws = _draws(n, seed)
+                words = random.Random(seed).getrandbits(32 * draws).to_bytes(4 * draws, "little")
+                expected = _pair_set_greedy(n, target, seed)
+                assert native.greedy(n, target, words) == tuple(expected)
+                assert native.greedy(n, target, words[:-4]) is None
+                assert native.greedy(n, target, words[:-1]) is None
+                if draws > 2 * math.comb(n, 3):
+                    short += 1
+                    assert random_system(n, target, seed) == validate_system(n, expected)
+        assert short > 10
+
+    def test_native_greedy_matches_python(self, native):
+        for n in range(3, 65):
+            bound = johnson_schonheim(n)
+            for target in sorted({1, max(1, bound // 2), bound}):
+                for seed in range(2):
+                    expected = tuple(_greedy(n, target, seed))
+                    assert _native_greedy(native, n, target, seed) == expected
+
+    def test_native_greedy_checks_its_arguments(self, native):
+        words = bytes(4 * 572)
+        assert native.greedy(13, 26, words) is not None
+        with pytest.raises(TypeError):
+            native.greedy(13, 26)
+        with pytest.raises(TypeError):
+            native.greedy("13", 26, words)
+        with pytest.raises(TypeError):
+            native.greedy(13, 26.0, words)
+        with pytest.raises(TypeError):
+            native.greedy(13, 26, bytearray(words))
+        with pytest.raises(ValueError):
+            native.greedy(65, 26, words)
+        with pytest.raises(ValueError):
+            native.greedy(-1, 26, words)
+        with pytest.raises(ValueError):
+            native.greedy(13, -1, words)
+
     def test_empty_target(self):
         system = random_system(9, 0, 5)
         assert system.blocks == ()
@@ -232,7 +296,9 @@ class TestTripleTable:
         for (a, b, c), ab, ac, bc in rows:
             assert (ab, ac, bc) == (a * n + b, a * n + c, b * n + c)
 
+    @pytest.mark.usefixtures("python_path")
     def test_holds_one_order(self):
+        # The table serves the Python path alone.
         for n in (7, 13, 19):
             random_system(n, johnson_schonheim(n), 0)
             assert _triple_table.cache_info().currsize <= 1

@@ -1,4 +1,4 @@
-"""The kernel seam, the kernels, and the compiled partition test.
+"""The kernel seam, the kernels, and the compiled extension.
 
 The partition and scan tests run twice: as they stand, on the compiled
 test where it can be built, and once more with the ``python_path``
@@ -8,8 +8,11 @@ fixture, on the Python recursion.
 import copy
 import hashlib
 import itertools
+import os
 import random
+import shlex
 import shutil
+import subprocess
 import sysconfig
 
 import pytest
@@ -28,22 +31,6 @@ from pstseq import (
     random_system,
 )
 from conftest import oracle_has_partition_subsets
-
-
-@pytest.fixture
-def python_path(monkeypatch):
-    """The Python recursion for every system built under the fixture:
-    the compiled extension counts as one that could not be built."""
-    monkeypatch.setattr(pure, "_native", False)
-
-
-@pytest.fixture(scope="module")
-def native():
-    """The compiled extension; the test is skipped where it cannot be built."""
-    module = pure._native if pure._native is not None else pure._load_native()
-    if not module:
-        pytest.skip("the partition extension cannot be built here")
-    return module
 
 
 def test_prepare_returns_pure_kernels():
@@ -356,3 +343,20 @@ def test_build_is_cached_by_source_digest(native, monkeypatch, tmp_path):
     full = (1 << 13) - 1
     for p in range(13):
         assert built.find(handle, full ^ 1 << p) == pure.find_partition(twin, full ^ 1 << p)
+
+
+def test_source_compiles_without_warnings(tmp_path):
+    # The build discards the compiler's messages, so a warning in the
+    # source would never show there; here every warning is an error.
+    config = sysconfig.get_config_vars()
+    include = sysconfig.get_paths()["include"]
+    cmd = shlex.split(f"{config.get('LDSHARED') or ''} {config.get('CCSHARED') or ''}")
+    if not cmd or shutil.which(cmd[0]) is None:
+        pytest.skip("no C compiler here")
+    if not os.path.exists(os.path.join(include, "Python.h")):
+        pytest.skip("no Python.h here")
+    cmd += ["-O2", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror",
+            "-I", include, pure._SOURCE, "-o", str(tmp_path / "_native.so")]
+    result = subprocess.run(cmd, capture_output=True, text=True, timeout=120,
+                            stdin=subprocess.DEVNULL)
+    assert result.returncode == 0, result.stderr

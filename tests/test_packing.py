@@ -27,6 +27,7 @@ from pstseq.errors import (
     PointOutOfRange,
     WrongCardinality,
 )
+from pstseq import _pykernels, cli, formats
 from conftest import hub_system, oracle_max_packing, oracle_partitions
 
 STS13 = cyclic_system(CyclicBase(13, ((0, 1, 4), (0, 2, 7))))
@@ -197,6 +198,30 @@ class TestMaxDisjointBlocks:
                 raised += got > old
         assert saved > 0 and raised > 0
 
+    @pytest.mark.usefixtures("python_path")
+    def test_matches_reference_branch_and_bound_python(self):
+        self.test_matches_reference_branch_and_bound()
+
+    @pytest.mark.usefixtures("python_path")
+    def test_reach_bound_only_cuts_nodes_python(self):
+        self.test_reach_bound_only_cuts_nodes()
+
+    @pytest.mark.usefixtures("python_path")
+    def test_hit_bound_only_cuts_nodes_python(self):
+        self.test_hit_bound_only_cuts_nodes()
+
+    def test_thousand_disjoint_blocks(self, tmp_path, capsys):
+        # A search a thousand branches deep: one node per block taken,
+        # one at the leaf, and one per exclude branch, each cut at once.
+        system = validate_system(3000, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(1000)])
+        result = max_disjoint_blocks(system)
+        assert (result.nu, result.witness, result.exact) == (1000, system.blocks, True)
+        assert result.nodes_explored == 2001
+        path = tmp_path / "big.psts"
+        path.write_text(formats.system_to_psts(system))
+        assert cli.main(["pack", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("nu = 1000\n")
+
     def test_nu_bounded_by_order_third(self):
         for seed in range(10):
             system = random_system(11, 8, seed)
@@ -215,6 +240,54 @@ class TestMaxDisjointBlocks:
     def test_non_integer_budget_rejected(self, budget):
         with pytest.raises(InputError, match="integer"):
             max_disjoint_blocks(random_system(9, 6, 3), budget=budget)
+
+
+def _native_pack_cases():
+    for n in [*range(3, 40), 45, 57, 64]:
+        bound = johnson_schonheim(n)
+        for target in sorted({bound // 2, bound}):
+            yield random_system(n, target, n)
+        if n >= 13:
+            yield hub_system(n, 4, n)
+
+
+def test_native_pack_matches_python(native, python_path):
+    # Python path: ``python_path`` makes ``max_packing`` search in Python.
+    cut = 0
+    for system in _native_pack_cases():
+        budgets = (0, 1, 10, 100, 1000) + ((None,) if system.n <= 30 else ())
+        for budget in budgets:
+            got = native.pack(system.block_masks, budget)
+            assert got == _pykernels.max_packing(system, budget)
+            assert type(got[3]) is bool
+            cut += not got[3]
+    assert cut > 100
+
+
+def test_native_pack_checks_its_arguments(native):
+    masks = random_system(13, johnson_schonheim(13), 1).block_masks
+    unbounded = native.pack(masks, None)
+    assert unbounded[3]
+    assert native.pack(masks, 1 << 63) == native.pack(masks, 1 << 70) == unbounded
+    assert native.pack((), None) == (0, (), 1, True)
+    with pytest.raises(TypeError):
+        native.pack(masks)
+    with pytest.raises(TypeError):
+        native.pack(list(masks), None)
+    with pytest.raises(TypeError):
+        native.pack(masks, "10")
+    with pytest.raises(TypeError):
+        native.pack(masks, 2.5)
+    with pytest.raises(TypeError):
+        native.pack(masks + ("7",), None)
+    with pytest.raises(OverflowError):
+        native.pack(masks + (1 << 64 | 0b11,), None)
+    with pytest.raises(ValueError):
+        native.pack(masks + (0b1111,), None)
+    with pytest.raises(ValueError):
+        native.pack(masks, -1)
+    with pytest.raises(ValueError):
+        native.pack(masks, -(1 << 70))
 
 
 class TestBadSets:
