@@ -9,9 +9,11 @@
  * and ``find(index, mask)`` gives the block ids of the partition in the
  * order ``_pykernels.find_partition`` gives them, or None.
  *
- * ``greedy(n, target, words)`` is the shuffle and pair-disjoint scan of
- * ``generators.random_system``, fed with the generator's 32-bit outputs,
- * and ``pack(block_masks, budget)`` is ``_pykernels.max_packing``.
+ * ``greedy(n, target, key)`` is the shuffle and pair-disjoint scan of
+ * ``generators.random_system``, drawing from its own MT19937 seeded as
+ * ``random.Random`` seeds one; ``index(n, blocks)`` is the pair check and
+ * index of ``core.TripleSystem``; and ``pack(block_masks, budget)`` is
+ * ``_pykernels.max_packing``.
  *
  * ``_pykernels`` builds this file on first use; where the build fails,
  * the Python code that each function mirrors runs instead.
@@ -199,13 +201,70 @@ native_find(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return out;
 }
 
-/* Output ``t`` of the generator, from the little-endian 32-bit words of
- * ``getrandbits(32 * m)``. */
-static uint32_t
-word_at(const unsigned char *words, Py_ssize_t t)
+/* MT19937, the generator of ``random.Random`` (Matsumoto and Nishimura,
+ * "Mersenne Twister", ACM TOMACS 8(1), 1998). */
+#define MT_N 624
+#define MT_M 397
+
+typedef struct {
+    uint32_t state[MT_N];
+    int next;
+} Twister;
+
+/* Seeds ``mt`` by the reference ``init_by_array`` over the ``len``
+ * little-endian 32-bit words at ``key``, as ``random.Random(seed)``
+ * does with the words of ``abs(seed)``. */
+static void
+mt_seed(Twister *mt, const unsigned char *key, Py_ssize_t len)
 {
-    const unsigned char *b = words + 4 * t;
-    return (uint32_t)b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16 | (uint32_t)b[3] << 24;
+    uint32_t *s = mt->state;
+    s[0] = 19650218U;
+    for (int i = 1; i < MT_N; i++) {
+        s[i] = 1812433253U * (s[i - 1] ^ s[i - 1] >> 30) + (uint32_t)i;
+    }
+    int i = 1;
+    Py_ssize_t j = 0;
+    for (Py_ssize_t k = len > MT_N ? len : MT_N; k > 0; k--) {
+        const unsigned char *b = key + 4 * j;
+        uint32_t word = (uint32_t)b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16
+                        | (uint32_t)b[3] << 24;
+        s[i] = (s[i] ^ (s[i - 1] ^ s[i - 1] >> 30) * 1664525U) + word + (uint32_t)j;
+        if (++i >= MT_N) {
+            s[0] = s[MT_N - 1];
+            i = 1;
+        }
+        if (++j >= len) {
+            j = 0;
+        }
+    }
+    for (int k = MT_N - 1; k > 0; k--) {
+        s[i] = (s[i] ^ (s[i - 1] ^ s[i - 1] >> 30) * 1566083941U) - (uint32_t)i;
+        if (++i >= MT_N) {
+            s[0] = s[MT_N - 1];
+            i = 1;
+        }
+    }
+    s[0] = 0x80000000U;
+    mt->next = MT_N;
+}
+
+/* The generator's next 32-bit output: ``getrandbits(32)``. */
+static uint32_t
+mt_next(Twister *mt)
+{
+    uint32_t *s = mt->state;
+    if (mt->next >= MT_N) {
+        for (int k = 0; k < MT_N; k++) {
+            uint32_t y = (s[k] & 0x80000000U) | (s[(k + 1) % MT_N] & 0x7fffffffU);
+            s[k] = s[(k + MT_M) % MT_N] ^ y >> 1 ^ (y & 1 ? 0x9908b0dfU : 0);
+        }
+        mt->next = 0;
+    }
+    uint32_t y = s[mt->next++];
+    y ^= y >> 11;
+    y ^= y << 7 & 0x9d2c5680U;
+    y ^= y << 15 & 0xefc60000U;
+    return y ^ y >> 18;
 }
 
 static PyObject *
@@ -227,17 +286,18 @@ triple(int a, int b, int c)
     return t;
 }
 
-/* ``greedy(n, target, words)``: the triples of ``range(n)`` in
+/* ``greedy(n, target, key)``: the triples of ``range(n)`` in
  * lexicographic order, shuffled by ``generators._shuffle``'s rejection
- * loop on the outputs in ``words``, then taken pair-disjoint in shuffled
- * order up to ``target``.  Returns the chosen triples in lexicographic
- * order, or None when the shuffle needs more outputs than ``words``
- * holds. */
+ * loop on the outputs of MT19937 seeded with the 32-bit words of
+ * ``key``, then taken pair-disjoint in shuffled order up to ``target``.
+ * For a draw width ``k <= 32``, ``getrandbits(k)`` is the next output
+ * shifted right by ``32 - k``.  Returns the chosen triples in
+ * lexicographic order. */
 static PyObject *
 native_greedy(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError, "greedy(n, target, words) takes 3 arguments");
+        PyErr_SetString(PyExc_TypeError, "greedy(n, target, key) takes 3 arguments");
         return NULL;
     }
     long n = PyLong_AsLong(args[0]);
@@ -257,11 +317,16 @@ native_greedy(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     if (!PyBytes_Check(args[2])) {
-        PyErr_SetString(PyExc_TypeError, "words must be bytes");
+        PyErr_SetString(PyExc_TypeError, "key must be bytes");
         return NULL;
     }
-    const unsigned char *words = (const unsigned char *)PyBytes_AS_STRING(args[2]);
-    Py_ssize_t nwords = PyBytes_GET_SIZE(args[2]) / 4;
+    Py_ssize_t nkey = PyBytes_GET_SIZE(args[2]);
+    if (nkey == 0 || nkey % 4) {
+        PyErr_SetString(PyExc_ValueError, "key must hold one or more 32-bit words");
+        return NULL;
+    }
+    Twister mt;
+    mt_seed(&mt, (const unsigned char *)PyBytes_AS_STRING(args[2]), nkey / 4);
 
     uint32_t count = n * (n - 1) * (n - 2) / 6;
     /* code[i] packs triple i as a | b << 8 | c << 16; perm is shuffled;
@@ -289,7 +354,6 @@ native_greedy(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         k++;
     }
     uint32_t low = (((uint32_t)1 << k) >> 1) - 1;
-    Py_ssize_t t = 0;
     for (i = count - 1; count > 1 && i > 0; i--) {
         if (i < low) {
             k--;
@@ -297,11 +361,7 @@ native_greedy(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         }
         uint32_t j;
         do {
-            if (t == nwords) {
-                free(code);
-                Py_RETURN_NONE;
-            }
-            j = word_at(words, t++) >> (32 - k);
+            j = mt_next(&mt) >> (32 - k);
         } while (j > i);
         uint32_t swap = perm[i];
         perm[i] = perm[j];
@@ -324,7 +384,8 @@ native_greedy(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
 
     PyObject *out = PyTuple_New(chosen);
-    for (i = 0, t = 0; out != NULL && t < chosen; i++) {
+    Py_ssize_t t = 0;
+    for (i = 0; out != NULL && t < chosen; i++) {
         if (pick[i]) {
             uint32_t c = code[i];
             PyObject *tri = triple(c & 0xff, c >> 8 & 0xff, c >> 16);
@@ -337,6 +398,131 @@ native_greedy(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
     free(code);
     return out;
+}
+
+/* The attribute name ``points``, interned when the module loads. */
+static PyObject *points_name;
+
+/* ``index(n, blocks)``: the pair check and index of
+ * ``core.TripleSystem``, over each block's ``points`` in order.  Returns
+ * (block_masks, lead, triples) as the Python loop builds them, or the
+ * position of the first block that holds a point outside [0, n) or a
+ * pair an earlier block covers.  Points are range-checked before any
+ * shift, so no shift reaches 64. */
+static PyObject *
+native_index(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "index(n, blocks) takes 2 arguments");
+        return NULL;
+    }
+    long n = PyLong_AsLong(args[0]);
+    if (n == -1 && PyErr_Occurred()) {
+        return NULL;
+    }
+    if (n < 0 || n > MAX_ORDER) {
+        PyErr_SetString(PyExc_ValueError, "order must lie in [0, 64]");
+        return NULL;
+    }
+    PyObject *seq = PySequence_Fast(args[1], "blocks must be a sequence");
+    if (seq == NULL) {
+        return NULL;
+    }
+    Py_ssize_t nb = PySequence_Fast_GET_SIZE(seq);
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    PyObject *result = NULL, *masks = NULL, *lead = NULL;
+    PyObject *triples = PyTuple_New(nb);
+    /* bits[i] is block i's mask and first[i] its first point; led[p]
+     * counts the blocks led by p, then fills lead[p]. */
+    uint64_t *bits = malloc(nb * (sizeof(uint64_t) + 1) + 1);
+    Py_ssize_t led[MAX_ORDER] = {0};
+    uint64_t adj[MAX_ORDER] = {0};
+    if (bits == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (triples == NULL) {
+        goto done;
+    }
+    unsigned char *first = (unsigned char *)(bits + nb);
+    for (Py_ssize_t i = 0; i < nb; i++) {
+        PyObject *pts = PyObject_GetAttr(items[i], points_name);
+        if (pts == NULL) {
+            goto done;
+        }
+        PyTuple_SET_ITEM(triples, i, pts);
+        if (!PyTuple_Check(pts) || PyTuple_GET_SIZE(pts) != 3) {
+            PyErr_SetString(PyExc_TypeError, "block points must be a tuple of 3 integers");
+            goto done;
+        }
+        int p[3] = {0, 0, 0}, outside = 0;
+        for (int k = 0; k < 3; k++) {
+            int overflow;
+            long v = PyLong_AsLongAndOverflow(PyTuple_GET_ITEM(pts, k), &overflow);
+            if (v == -1 && PyErr_Occurred()) {
+                goto done;
+            }
+            if (overflow || v < 0 || v >= n) {
+                outside = 1;
+            }
+            else {
+                p[k] = (int)v;
+            }
+        }
+        int a = p[0], b = p[1], c = p[2];
+        if (outside || adj[a] >> b & 1 || adj[a] >> c & 1 || adj[b] >> c & 1) {
+            result = PyLong_FromSsize_t(i);
+            goto done;
+        }
+        uint64_t m = (uint64_t)1 << a | (uint64_t)1 << b | (uint64_t)1 << c;
+        adj[a] |= m;
+        adj[b] |= m;
+        adj[c] |= m;
+        bits[i] = m;
+        first[i] = (unsigned char)a;
+        led[a]++;
+    }
+
+    masks = PyTuple_New(nb);
+    lead = PyTuple_New(n);
+    if (masks == NULL || lead == NULL) {
+        goto done;
+    }
+    for (long q = 0; q < n; q++) {
+        PyObject *row = PyTuple_New(led[q]);
+        if (row == NULL) {
+            goto done;
+        }
+        PyTuple_SET_ITEM(lead, q, row);
+        led[q] = 0;
+    }
+    for (Py_ssize_t i = 0; i < nb; i++) {
+        PyObject *m = PyLong_FromUnsignedLongLong(bits[i]);
+        if (m == NULL) {
+            goto done;
+        }
+        PyTuple_SET_ITEM(masks, i, m);
+        PyObject *pair = PyTuple_New(2);
+        PyObject *bid = PyLong_FromSsize_t(i);
+        if (pair == NULL || bid == NULL) {
+            Py_XDECREF(pair);
+            Py_XDECREF(bid);
+            goto done;
+        }
+        Py_INCREF(m);
+        PyTuple_SET_ITEM(pair, 0, m);
+        PyTuple_SET_ITEM(pair, 1, bid);
+        PyTuple_SET_ITEM(PyTuple_GET_ITEM(lead, first[i]), led[first[i]]++, pair);
+    }
+    result = PyTuple_Pack(3, masks, lead, triples);
+
+done:
+    Py_XDECREF(masks);
+    Py_XDECREF(lead);
+    Py_XDECREF(triples);
+    free(bits);
+    Py_DECREF(seq);
+    return result;
 }
 
 typedef struct {
@@ -489,7 +675,9 @@ static PyMethodDef native_methods[] = {
     {"find", (PyCFunction)(void (*)(void))native_find, METH_FASTCALL,
      "find(index, mask): the block ids of a partition of mask, or None."},
     {"greedy", (PyCFunction)(void (*)(void))native_greedy, METH_FASTCALL,
-     "greedy(n, target, words): random_system's triples from the generator's outputs, or None."},
+     "greedy(n, target, key): random_system's triples from MT19937 seeded with key."},
+    {"index", (PyCFunction)(void (*)(void))native_index, METH_FASTCALL,
+     "index(n, blocks): TripleSystem's (block_masks, lead, triples), or the first bad block."},
     {"pack", (PyCFunction)(void (*)(void))native_pack, METH_FASTCALL,
      "pack(block_masks, budget): max_packing's (size, witness ids, nodes, complete)."},
     {NULL, NULL, 0, NULL},
@@ -504,5 +692,8 @@ static struct PyModuleDef native_module = {
 PyMODINIT_FUNC
 PyInit__native(void)
 {
+    if (points_name == NULL && (points_name = PyUnicode_InternFromString("points")) == NULL) {
+        return NULL;
+    }
     return PyModule_Create(&native_module);
 }

@@ -18,12 +18,14 @@ word, for systems of order at most 64: it runs the same least-point
 recursion for ``can_partition``, ``find_partition`` and
 ``inadmissible_scan``, and the same branch-and-bound for
 ``max_packing``.  ``generators.random_system`` takes its shuffle and
-scan from the same extension.  It is compiled with the system C
-compiler on the first call in a process that needs it, never at
-import, and cached in this package's ``__pycache__`` (see
+scan from the same extension, which seeds its own copy of the stdlib's
+generator, and ``core.TripleSystem`` its pair check and index once the
+extension is loaded.  It is compiled with the system C compiler on the
+first call in a process that needs it, never at import or when a
+system is built, and cached in this package's ``__pycache__`` (see
 ``_load_native``).  Larger orders, and hosts where the build fails, run
-the Python code here, which gives the same answers, parts and counts in
-the same order.
+the Python code here and in those modules, which gives the same
+answers, parts and counts in the same order.
 """
 
 from __future__ import annotations

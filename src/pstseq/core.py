@@ -198,9 +198,14 @@ class TripleSystem:
     each covered unordered pair to its unique block.  The kernels of
     ``_pykernels`` take the system itself and read ``n``,
     ``block_masks``, ``lead`` and ``triples``.  The constructor checks
-    the pairs with one adjacency bitmask per point and raises
+    the blocks in order with one adjacency bitmask per point: it raises
+    PointOutOfRange at the first point outside [0, n), and
     PairInTwoBlocks, naming both blocks, at the first pair covered
     twice; the same loop builds ``block_masks``, ``lead`` and ``triples``.
+    For orders up to 64, once ``_pykernels`` has loaded the compiled
+    extension, ``index`` in ``_native.c`` runs that loop and the errors
+    are raised here from the position of the block it stops at; the
+    constructor never loads or builds the extension itself.
     ``pair_index`` is built on first use: only the pair lookups
     ``block_of_pair`` and ``is_block`` read it.  So is the label-to-index
     map, which only ``index_of`` reads, and so is ``_native``, the
@@ -216,25 +221,32 @@ class TripleSystem:
         self.n = n
         self.blocks = blocks
         self.labels = labels
-        adj = [0] * n
-        masks = []
-        lead = [[] for _ in range(n)]
-        triples = []
-        for i, blk in enumerate(blocks):
-            pts = blk.points
-            a, b, c = pts
-            if adj[a] >> b & 1 or adj[a] >> c & 1 or adj[b] >> c & 1:
-                self._raise_pair_in_two_blocks(i)
-            m = 1 << a | 1 << b | 1 << c
-            adj[a] |= m
-            adj[b] |= m
-            adj[c] |= m
-            masks.append(m)
-            lead[a].append((m, i))
-            triples.append(pts)
-        self.block_masks = tuple(masks)
-        self.lead = tuple(map(tuple, lead))
-        self.triples = tuple(triples)
+        native = _pykernels._native
+        if native and 0 <= n <= 64:
+            built = native.index(n, blocks)
+            if type(built) is int:
+                self._raise_bad_block(built)
+            self.block_masks, self.lead, self.triples = built
+        else:
+            adj = [0] * n
+            masks = []
+            lead = [[] for _ in range(n)]
+            triples = []
+            for i, blk in enumerate(blocks):
+                pts = blk.points
+                a, b, c = pts
+                if a < 0 or c >= n or adj[a] >> b & 1 or adj[a] >> c & 1 or adj[b] >> c & 1:
+                    self._raise_bad_block(i)
+                m = 1 << a | 1 << b | 1 << c
+                adj[a] |= m
+                adj[b] |= m
+                adj[c] |= m
+                masks.append(m)
+                lead[a].append((m, i))
+                triples.append(pts)
+            self.block_masks = tuple(masks)
+            self.lead = tuple(map(tuple, lead))
+            self.triples = tuple(triples)
         self._pair_index = None
         self._label_to_index = None
         self._native = None
@@ -248,11 +260,17 @@ class TripleSystem:
             self._pair_index = _pair_map(self.blocks)
         return self._pair_index
 
-    def _raise_pair_in_two_blocks(self, i: int):
-        # The blocks before ``i`` are pair-disjoint, so their pair map
-        # names the one block that ``blocks[i]`` collides with.
-        earlier = _pair_map(self.blocks[:i])
+    def _raise_bad_block(self, i: int):
+        # ``blocks[i]`` is the first block with a point out of range or a
+        # pair covered before.  The blocks before it are pair-disjoint,
+        # so their pair map names the one block it collides with.
         blk = self.blocks[i]
+        for p in blk.points:
+            if not 0 <= p < self.n:
+                raise PointOutOfRange(
+                    f"block {blk.points} has point {p!r} outside [0, {self.n})"
+                )
+        earlier = _pair_map(self.blocks[:i])
         a, b, c = blk.points
         pair = next(p for p in ((a, b), (a, c), (b, c)) if p in earlier)
         raise PairInTwoBlocks(
@@ -338,6 +356,14 @@ class TripleSystem:
 
     def __repr__(self):
         return f"TripleSystem(n={self.n}, blocks={len(self.blocks)})"
+
+
+@functools.lru_cache(maxsize=8)
+def _index_labels(n: int) -> tuple[str, ...]:
+    """The labels of a system whose points are its own indices: one
+    shared tuple of ``str(0) .. str(n - 1)`` per order, for the last
+    eight orders asked for."""
+    return tuple(map(str, range(n)))
 
 
 def _is_plain_int(v) -> bool:
@@ -431,7 +457,7 @@ def validate_system(n: int, raw_blocks: Iterable) -> TripleSystem:
 
     rows = _index_rows(triples, n)
     if rows is not None:
-        labels = tuple(map(str, range(n)))
+        labels = _index_labels(n)
     else:
         label_map: dict[str, int] = {}
         index_triples = []

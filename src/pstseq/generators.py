@@ -8,7 +8,14 @@ import random
 from typing import Sequence as Seq
 
 from . import _pykernels
-from .core import TripleSystem, _is_plain_int, _Record, _sorted_block, validate_system
+from .core import (
+    TripleSystem,
+    _index_labels,
+    _is_plain_int,
+    _Record,
+    _sorted_block,
+    validate_system,
+)
 from .errors import DevelopmentCollision, PairInTwoBlocks, SizeTooSmall
 
 
@@ -164,20 +171,21 @@ def random_system(n: int, target_blocks: int, seed: int) -> TripleSystem:
     pin it against an independent pair-set reference and by a digest.
 
     Orders up to 64 run the shuffle and the scan in the compiled
-    extension (``_native_greedy``).  For a draw width ``k <= 32``,
-    ``getrandbits(k)`` is the generator's next 32-bit output shifted
-    right by ``32 - k``, and ``getrandbits(32 * m)`` holds ``m``
-    successive outputs as little-endian 32-bit words; so one
-    ``getrandbits`` call feeds the whole shuffle, which the extension
-    runs with the stdlib's rejection of draws above ``i``.  Larger
-    orders, and hosts where the build fails, run ``_greedy``: the stdlib
-    shuffle with its draw helper inlined (``_shuffle``; a test checks it
-    against the stdlib one) over ``_triple_table``, built once per order
-    with the ids of the pairs of each triple, and used pairs marked in a
-    ``bytearray`` indexed by those ids.  Either way the chosen triples
+    extension (``_native_greedy``), on its own MT19937 seeded as
+    ``random.Random(seed)`` seeds the stdlib one: for a draw width
+    ``k <= 32``, ``getrandbits(k)`` is the generator's next 32-bit
+    output shifted right by ``32 - k``, so the extension draws outputs
+    as the shuffle needs them and rejects draws above ``i`` as the
+    stdlib does.  Larger orders, and hosts where the build fails, run
+    ``_greedy``: the stdlib shuffle with its draw helper inlined
+    (``_shuffle``; a test checks it against the stdlib one) over
+    ``_triple_table``, built once per order with the ids of the pairs of
+    each triple, and used pairs marked in a ``bytearray`` indexed by
+    those ids.  Either way the chosen triples
     come sorted, distinct, in range and pair-disjoint, so the system is
-    built directly, without ``validate_system``; ``TripleSystem`` still
-    checks the pairs.
+    built directly, without ``validate_system``, with the labels
+    ``validate_system`` shares per order; ``TripleSystem`` still checks
+    the pairs.
     """
     if not (_is_plain_int(n) and _is_plain_int(target_blocks)):
         raise ValueError(
@@ -199,22 +207,17 @@ def random_system(n: int, target_blocks: int, seed: int) -> TripleSystem:
             chosen = _native_greedy(native, n, target_blocks, seed)
         else:
             chosen = _greedy(n, target_blocks, seed)
-    return TripleSystem(n, tuple(map(_sorted_block, chosen)), tuple(map(str, range(n))))
+    return TripleSystem(n, tuple(map(_sorted_block, chosen)), _index_labels(n))
 
 
 def _native_greedy(native, n, target_blocks, seed):
     """``random_system``'s shuffle and scan in the compiled extension."""
-    # The shuffle takes one output of the generator per draw, and each
-    # draw is kept with probability at least 1/2, so twice as many outputs
-    # as triples nearly always suffice; on the rare seed that needs more,
-    # the generator is reseeded and twice as many are drawn.
-    words = n * (n - 1) * (n - 2) // 3
-    while True:
-        bits = random.Random(seed).getrandbits(32 * words).to_bytes(4 * words, "little")
-        chosen = native.greedy(n, target_blocks, bits)
-        if chosen is not None:
-            return chosen
-        words *= 2
+    # ``random.Random(seed)`` seeds MT19937 with the little-endian 32-bit
+    # words of ``abs(seed)``, one zero word for 0; ``int.__abs__``, as
+    # there, ignores an ``int`` subclass's own ``__abs__``.
+    key = int.__abs__(seed)
+    words = max(1, -(-key.bit_length() // 32))
+    return native.greedy(n, target_blocks, key.to_bytes(4 * words, "little"))
 
 
 def _greedy(n, target_blocks, seed):

@@ -474,14 +474,21 @@ class TestRepeatedMain:
         assert code == 0 and "order 9" in out
 
 
-def _modules_after_cli_import():
-    """Names in ``sys.modules`` once a fresh interpreter imports the CLI."""
+def _modules_after_cli_import(*argv):
+    """Names in ``sys.modules`` once a fresh interpreter imports the CLI
+    and, given ``argv``, runs it on them with its output discarded."""
     src = str(Path(pstseq.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, pstseq.cli\nprint(*sys.modules, sep='\\n')\n"
+    code = (
+        "import contextlib, io, sys, pstseq.cli\n"
+        "if sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert pstseq.cli.main(sys.argv[1:]) == 0\n"
+        "print(*sys.modules, sep='\\n')\n"
+    )
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
     modules = set(result.stdout.split())
@@ -528,3 +535,12 @@ def test_import_cli_skips_native_build():
     # needs them, never at import, so a command that searches nothing
     # pays neither for them nor for the modules that build them.
     assert not _modules_after_cli_import() & {"pstseq._native", "sysconfig", "subprocess"}
+
+
+def test_validate_skips_native_build(nine_psts):
+    # A system of order at most 64 is indexed in C only once a kernel
+    # has loaded the extension; building one never loads it, so
+    # ``validate`` runs without it.
+    modules = _modules_after_cli_import("validate", nine_psts)
+    assert "pstseq.core" in modules
+    assert not modules & {"pstseq._native", "sysconfig", "subprocess"}

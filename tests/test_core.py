@@ -2,6 +2,7 @@
 
 import copy
 import enum
+import functools
 import itertools
 import pickle
 
@@ -13,6 +14,7 @@ from pstseq import (
     Block,
     CyclicBase,
     Sequence,
+    TripleSystem,
     construct,
     cyclic_system,
     decide,
@@ -25,6 +27,7 @@ from pstseq import (
     random_system,
     validate_system,
 )
+from pstseq import _pykernels
 from pstseq.core import _is_int_token
 from pstseq.errors import (
     InputError,
@@ -238,6 +241,42 @@ def _reference_error(n, rows):
     return None
 
 
+#: (order, rows, error, message) of malformed ``validate_system`` input.
+_MALFORMED = [
+    (5, [(1, 1, 2), (0, 3, 4), (0, 3, 4)], RepeatedPointInBlock,
+     "block repeats a point: (1, 1, 2)"),
+    (5, [(0, 3, 4), (0, 3, 4), (1, 1, 2)], RepeatedPointInBlock,
+     "block repeats a point: (1, 1, 2)"),
+    (5, [("a", "a", "b")], RepeatedPointInBlock, "block repeats a point: ('a', 'a', 'b')"),
+    (5, [(0, 1)], RepeatedPointInBlock, "block must have exactly 3 points: (0, 1)"),
+    (5, [(0, 3, 4), (4, 0, 3)], PairInTwoBlocks, "block listed twice: (0, 3, 4)"),
+    (5, [(0, 1, 2), (0, 1, 3)], PairInTwoBlocks,
+     "pair {0, 1} lies in two blocks: ('0', '1', '2') and ('0', '1', '3')"),
+    (5, [(0, 1, 3), (1, 2, 3)], PairInTwoBlocks,
+     "pair {1, 3} lies in two blocks: ('0', '1', '3') and ('1', '2', '3')"),
+    (5, [(0, 2, 3), (1, 2, 3)], PairInTwoBlocks,
+     "pair {2, 3} lies in two blocks: ('0', '2', '3') and ('1', '2', '3')"),
+    (7, [(5, 6, 4), (0, 1, 2), (6, 5, 0)], PairInTwoBlocks,
+     "pair {5, 6} lies in two blocks: ('0', '5', '6') and ('4', '5', '6')"),
+    (6, [("x", "y", "z"), ("u", "z", "x")], PairInTwoBlocks,
+     "pair {x, z} lies in two blocks: ('x', 'y', 'z') and ('x', 'z', 'u')"),
+    (4, [(0, 1, 2), (3, 4, 5)], PointOutOfRange,
+     "6 distinct labels exceed the declared order 4"),
+    (-1, [], PointOutOfRange, "order must be nonnegative, got -1"),
+    (6, [("1", "01", "2")], RepeatedPointInBlock, "block repeats a point: ('1', '01', '2')"),
+    (6, [(3, 4, 5), ("1", "01", "2")], RepeatedPointInBlock,
+     "block repeats a point: ('1', '01', '2')"),
+    (4, [("1", "01", "2"), ("a", "b", "c")], PointOutOfRange,
+     "6 distinct labels exceed the declared order 4"),
+]
+_MALFORMED_IDS = [
+    "repeat-before-duplicate", "repeat-after-duplicate", "repeated-label", "two-points",
+    "duplicate", "shared-ab", "shared-ac", "shared-bc", "shared-unsorted",
+    "shared-labels", "too-many-labels", "negative-order",
+    "index-repeat-alone", "index-repeat-among-indices", "index-repeat-among-labels",
+]
+
+
 class TestBuildPath:
     def test_random_systems(self):
         for n in range(31):
@@ -317,38 +356,7 @@ class TestBuildPath:
         assert len(points) == 16
         assert all(type(p) is int for p in points)
 
-    @pytest.mark.parametrize("n,rows,error,message", [
-        (5, [(1, 1, 2), (0, 3, 4), (0, 3, 4)], RepeatedPointInBlock,
-         "block repeats a point: (1, 1, 2)"),
-        (5, [(0, 3, 4), (0, 3, 4), (1, 1, 2)], RepeatedPointInBlock,
-         "block repeats a point: (1, 1, 2)"),
-        (5, [("a", "a", "b")], RepeatedPointInBlock, "block repeats a point: ('a', 'a', 'b')"),
-        (5, [(0, 1)], RepeatedPointInBlock, "block must have exactly 3 points: (0, 1)"),
-        (5, [(0, 3, 4), (4, 0, 3)], PairInTwoBlocks, "block listed twice: (0, 3, 4)"),
-        (5, [(0, 1, 2), (0, 1, 3)], PairInTwoBlocks,
-         "pair {0, 1} lies in two blocks: ('0', '1', '2') and ('0', '1', '3')"),
-        (5, [(0, 1, 3), (1, 2, 3)], PairInTwoBlocks,
-         "pair {1, 3} lies in two blocks: ('0', '1', '3') and ('1', '2', '3')"),
-        (5, [(0, 2, 3), (1, 2, 3)], PairInTwoBlocks,
-         "pair {2, 3} lies in two blocks: ('0', '2', '3') and ('1', '2', '3')"),
-        (7, [(5, 6, 4), (0, 1, 2), (6, 5, 0)], PairInTwoBlocks,
-         "pair {5, 6} lies in two blocks: ('0', '5', '6') and ('4', '5', '6')"),
-        (6, [("x", "y", "z"), ("u", "z", "x")], PairInTwoBlocks,
-         "pair {x, z} lies in two blocks: ('x', 'y', 'z') and ('x', 'z', 'u')"),
-        (4, [(0, 1, 2), (3, 4, 5)], PointOutOfRange,
-         "6 distinct labels exceed the declared order 4"),
-        (-1, [], PointOutOfRange, "order must be nonnegative, got -1"),
-        (6, [("1", "01", "2")], RepeatedPointInBlock, "block repeats a point: ('1', '01', '2')"),
-        (6, [(3, 4, 5), ("1", "01", "2")], RepeatedPointInBlock,
-         "block repeats a point: ('1', '01', '2')"),
-        (4, [("1", "01", "2"), ("a", "b", "c")], PointOutOfRange,
-         "6 distinct labels exceed the declared order 4"),
-    ], ids=[
-        "repeat-before-duplicate", "repeat-after-duplicate", "repeated-label", "two-points",
-        "duplicate", "shared-ab", "shared-ac", "shared-bc", "shared-unsorted",
-        "shared-labels", "too-many-labels", "negative-order",
-        "index-repeat-alone", "index-repeat-among-indices", "index-repeat-among-labels",
-    ])
+    @pytest.mark.parametrize("n,rows,error,message", _MALFORMED, ids=_MALFORMED_IDS)
     def test_malformed_input(self, n, rows, error, message):
         with pytest.raises(error) as err:
             validate_system(n, rows)
@@ -367,6 +375,107 @@ class TestBuildPath:
                 validate_system(n, rows)
             assert type(err.value) is error
             assert str(err.value) == message
+
+
+@pytest.fixture(params=["compiled", "python"])
+def index_path(request, monkeypatch):
+    """Systems built by the compiled index, then by the Python loop; the
+    first is skipped where the extension cannot be built."""
+    if request.param == "compiled":
+        request.getfixturevalue("native")
+    else:
+        monkeypatch.setattr(_pykernels, "_native", False)
+
+
+def _index_builds():
+    """Calls that build systems of every order 0-64: random systems, their
+    rows as int, str and label tokens, and cyclic developments."""
+    builds = []
+    for n in range(65):
+        bound = johnson_schonheim(n)
+        for target in sorted({bound, bound // 2}):
+            rows = [blk.points for blk in random_system(n, target, n).blocks]
+            builds += [
+                functools.partial(random_system, n, target, n),
+                functools.partial(validate_system, n, rows),
+                functools.partial(validate_system, n, [tuple(map(str, r)) for r in rows]),
+                functools.partial(
+                    validate_system, n, [tuple(f"p{x}" for x in r) for r in reversed(rows)]
+                ),
+            ]
+        if n >= 7:
+            builds.append(functools.partial(cyclic_system, CyclicBase(n, ((0, 1, 3),))))
+    for n, bases in [
+        (13, ((0, 1, 4), (0, 2, 7))),
+        (19, ((0, 1, 4), (0, 2, 9), (0, 5, 11))),
+        (27, ((0, 1, 3), (0, 4, 11), (0, 5, 15), (0, 6, 14), (0, 9, 18))),
+    ]:
+        builds.append(functools.partial(cyclic_system, CyclicBase(n, bases)))
+    return builds
+
+
+def _index_fields(system):
+    return system.block_masks, system.lead, system.triples
+
+
+class TestCompiledIndex:
+    def test_matches_the_python_loop(self, native, monkeypatch):
+        builds = _index_builds()
+        compiled = [_index_fields(build()) for build in builds]
+        monkeypatch.setattr(_pykernels, "_native", False)
+        systems = [build() for build in builds]
+        assert [_index_fields(system) for system in systems] == compiled
+        for system in systems:
+            assert native.index(system.n, system.blocks) == _index_fields(system)
+
+    @pytest.mark.parametrize(
+        "n,rows,error,message",
+        [row for row in _MALFORMED if row[2] is PairInTwoBlocks],
+        ids=[i for row, i in zip(_MALFORMED, _MALFORMED_IDS) if row[2] is PairInTwoBlocks],
+    )
+    def test_pair_in_two_blocks_message(self, index_path, n, rows, error, message):
+        with pytest.raises(PairInTwoBlocks) as err:
+            validate_system(n, rows)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("n,blocks,message", [
+        (3, [(0, 1, 5)], "block (0, 1, 5) has point 5 outside [0, 3)"),
+        (3, [(-1, 0, 1)], "block (-1, 0, 1) has point -1 outside [0, 3)"),
+        (3, [(0, 1, 2), (0, 1, 3)], "block (0, 1, 3) has point 3 outside [0, 3)"),
+        (64, [(0, 1, 64)], "block (0, 1, 64) has point 64 outside [0, 64)"),
+        (64, [(0, 1, 2**70)], f"block (0, 1, {2**70}) has point {2**70} outside [0, 64)"),
+    ], ids=["above", "below", "before-the-pair-check", "shift-by-64", "beyond-a-word"])
+    def test_constructor_rejects_a_point_out_of_range(self, index_path, n, blocks, message):
+        with pytest.raises(PointOutOfRange) as err:
+            TripleSystem(n, tuple(map(Block, blocks)), tuple(map(str, range(n))))
+        assert str(err.value) == message
+
+    def test_construction_never_loads_the_extension(self, monkeypatch):
+        monkeypatch.setattr(_pykernels, "_native", None)
+        system = validate_system(13, [blk.points for blk in STS13.blocks])
+        system.subsystem(range(9))
+        assert _pykernels._native is None
+
+    def test_checks_its_arguments(self, native):
+        blocks = STS13.blocks
+        with pytest.raises(TypeError):
+            native.index(13)
+        with pytest.raises(TypeError):
+            native.index("13", blocks)
+        with pytest.raises(ValueError):
+            native.index(65, blocks)
+        with pytest.raises(ValueError):
+            native.index(-1, blocks)
+        with pytest.raises(TypeError):
+            native.index(13, 7)
+        with pytest.raises(AttributeError):
+            native.index(13, [(0, 1, 2)])
+        for points in ([0, 1, 2], (0, 1), (0, 1, 2.0), (0, 1, "2")):
+            blk = Block((0, 1, 2))
+            blk.__dict__["points"] = points
+            with pytest.raises(TypeError):
+                native.index(13, (blk,))
+        assert native.index(13, list(blocks)) == _index_fields(STS13)
 
 
 class TestPartitionIntoBlocks:

@@ -2,7 +2,6 @@
 
 import hashlib
 import itertools
-import math
 import os
 import random
 import re
@@ -161,21 +160,18 @@ def _pair_set_greedy(n, target, seed):
     return sorted(chosen)
 
 
-def _draws(n, seed):
-    """The outputs of ``random.Random(seed)`` that shuffling the triples
-    of ``range(n)`` takes: one per ``getrandbits`` call."""
-    rng = random.Random(seed)
-    calls = []
-    _shuffle(list(range(math.comb(n, 3))), lambda k: calls.append(k) or rng.getrandbits(k))
-    return len(calls)
+#: Seeds whose ``abs`` takes one, two, three and four 32-bit words, and 0.
+_KEY_SEEDS = (0, 1, -1, 2**31, 2**32 - 1, 2**32, -(2**40), 2**64 + 3, 2**100)
 
 
 class TestRandomSystem:
     def test_shuffle_matches_stdlib(self):
-        # Lengths up to 1100 cross every power-of-two boundary of the
-        # draw width up to C(19, 3) = 969 triples and past it.
+        # The draw width changes only where the length crosses a power
+        # of two: every length up to 64, the lengths around each power
+        # of two up to 2048, C(19, 3) = 969 triples and 1100.
+        lengths = list(range(65)) + [2**k + d for k in range(7, 12) for d in (-1, 0, 1)]
         for seed in range(50):
-            for length in range(1101):
+            for length in lengths + [969, 1100]:
                 expected = list(range(length))
                 random.Random(seed).shuffle(expected)
                 got = list(range(length))
@@ -219,25 +215,16 @@ class TestRandomSystem:
     def test_matches_pair_set_reference_python(self):
         self.test_matches_pair_set_reference()
 
-    def test_native_greedy_runs_out_of_words(self, native):
-        # The shuffle takes as many outputs of the generator as it makes
-        # draws: one output fewer gives None.  Some seeds need more than
-        # the twice-the-triples outputs that ``random_system`` draws
-        # first, and it must draw again and name the same system.
-        short = 0
-        for n in range(4, 8):
-            target = johnson_schonheim(n)
-            for seed in range(100):
-                draws = _draws(n, seed)
-                words = random.Random(seed).getrandbits(32 * draws).to_bytes(4 * draws, "little")
-                expected = _pair_set_greedy(n, target, seed)
-                assert native.greedy(n, target, words) == tuple(expected)
-                assert native.greedy(n, target, words[:-4]) is None
-                assert native.greedy(n, target, words[:-1]) is None
-                if draws > 2 * math.comb(n, 3):
-                    short += 1
-                    assert random_system(n, target, seed) == validate_system(n, expected)
-        assert short > 10
+    @pytest.mark.parametrize("seed", _KEY_SEEDS)
+    def test_native_greedy_seeds_like_the_stdlib(self, native, seed):
+        # The extension seeds its own MT19937 from the words of
+        # ``abs(seed)``.  Orders 16 and up take more than the 624
+        # outputs of one state, so the shuffle crosses a regeneration.
+        for n in [3, 4, 5, 6, 7, 16, 19, 31, 64]:
+            bound = johnson_schonheim(n)
+            for target in sorted({1, bound}):
+                expected = tuple(_greedy(n, target, seed))
+                assert _native_greedy(native, n, target, seed) == expected, (n, target)
 
     def test_native_greedy_matches_python(self, native):
         for n in range(3, 65):
@@ -248,22 +235,28 @@ class TestRandomSystem:
                     assert _native_greedy(native, n, target, seed) == expected
 
     def test_native_greedy_checks_its_arguments(self, native):
-        words = bytes(4 * 572)
-        assert native.greedy(13, 26, words) is not None
+        key = (7).to_bytes(4, "little")
+        assert native.greedy(13, 26, key) == tuple(_greedy(13, 26, 7))
+        assert native.greedy(13, 26, key + bytes(4)) != native.greedy(13, 26, key)
         with pytest.raises(TypeError):
             native.greedy(13, 26)
         with pytest.raises(TypeError):
-            native.greedy("13", 26, words)
+            native.greedy("13", 26, key)
         with pytest.raises(TypeError):
-            native.greedy(13, 26.0, words)
+            native.greedy(13, 26.0, key)
         with pytest.raises(TypeError):
-            native.greedy(13, 26, bytearray(words))
+            native.greedy(13, 26, bytearray(key))
+        with pytest.raises(TypeError):
+            native.greedy(13, 26, 7)
         with pytest.raises(ValueError):
-            native.greedy(65, 26, words)
+            native.greedy(65, 26, key)
         with pytest.raises(ValueError):
-            native.greedy(-1, 26, words)
+            native.greedy(-1, 26, key)
         with pytest.raises(ValueError):
-            native.greedy(13, -1, words)
+            native.greedy(13, -1, key)
+        for short in (b"", key[:3], key + b"\0"):
+            with pytest.raises(ValueError):
+                native.greedy(13, 26, short)
 
     def test_empty_target(self):
         system = random_system(9, 0, 5)
