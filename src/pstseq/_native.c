@@ -8,6 +8,9 @@
  * by a capsule; ``split(index, mask)`` says whether ``mask`` partitions,
  * and ``find(index, mask)`` gives the block ids of the partition in the
  * order ``_pykernels.find_partition`` gives them, or None.
+ * ``scan(index, entries, stop_first)`` is the segment scan of
+ * ``_pykernels.inadmissible_scan``, with the same filter and order, and
+ * gives each segment that splits with its mask but not its parts.
  *
  * ``greedy(n, target, key)`` is the shuffle and pair-disjoint scan of
  * ``generators.random_system``, drawing from its own MT19937 seeded as
@@ -35,8 +38,10 @@ typedef struct {
 } Lead;
 
 typedef struct {
-    /* start[p] .. start[p + 1] index the blocks led by p; points n .. 64
-     * lead no block, so a mask holding them never partitions. */
+    /* The order; start[p] .. start[p + 1] index the blocks led by p, and
+     * points n .. 64 lead no block, so a mask holding them never
+     * partitions. */
+    int n;
     int start[MAX_ORDER + 2];
     Lead lead[];
 } Index;
@@ -127,11 +132,17 @@ native_prepare(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                 PyErr_SetString(PyExc_ValueError, "the blocks in lead[p] must have least point p");
                 goto fail;
             }
+            /* ``scan`` reads the positions of a block's points. */
+            if (63 - __builtin_clzll(b->mask) >= n) {
+                PyErr_SetString(PyExc_ValueError, "the blocks in lead must lie in range(n)");
+                goto fail;
+            }
         }
     }
     for (Py_ssize_t p = n; p < MAX_ORDER + 2; p++) {
         ix->start[p] = k;
     }
+    ix->n = (int)n;
     PyObject *capsule = PyCapsule_New(ix, CAPSULE_NAME, index_free);
     if (capsule != NULL) {
         return capsule;
@@ -198,6 +209,111 @@ native_find(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         }
         PyTuple_SET_ITEM(out, i, bid);
     }
+    return out;
+}
+
+/* ``scan(index, entries, stop_first)``: ``_pykernels.inadmissible_scan``
+ * without the parts.  ``entries`` must be a permutation of range(n).
+ * Each block's span runs from the lowest to the highest position of its
+ * points; a block is listed once in ``lead``, under its least point.
+ * Segment [s, e] is tested only when some block spanning from s ends at
+ * or before e and some block spanning to e starts at or after s.
+ * Returns the (start, length, mask) of each segment that splits, in
+ * (length, start) order, stopping at the first with ``stop_first``. */
+static PyObject *
+native_scan(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "scan(index, entries, stop_first) takes 3 arguments");
+        return NULL;
+    }
+    const Index *ix = PyCapsule_GetPointer(args[0], CAPSULE_NAME);
+    if (ix == NULL) {
+        return NULL;
+    }
+    int stop_first = PyObject_IsTrue(args[2]);
+    if (stop_first < 0) {
+        return NULL;
+    }
+    PyObject *seq = PySequence_Fast(args[1], "entries must be a sequence");
+    if (seq == NULL) {
+        return NULL;
+    }
+    int n = ix->n;
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    /* pm[i] holds the points of the first i entries; pos[p] is the
+     * position of point p. */
+    uint64_t pm[MAX_ORDER + 1] = {0};
+    int pos[MAX_ORDER];
+    PyObject *out = NULL;
+    if (PySequence_Fast_GET_SIZE(seq) != n) {
+        PyErr_SetString(PyExc_ValueError, "entries must be a permutation of range(n)");
+        goto done;
+    }
+    for (int i = 0; i < n; i++) {
+        /* An int is read without calling back into Python code, which
+         * could resize a list while ``items`` points into it. */
+        if (!PyLong_Check(items[i])) {
+            PyErr_SetString(PyExc_TypeError, "entries must be integers");
+            goto done;
+        }
+        int overflow;
+        long v = PyLong_AsLongAndOverflow(items[i], &overflow);
+        if (v == -1 && PyErr_Occurred()) {
+            goto done;
+        }
+        if (overflow || v < 0 || v >= n || pm[i] >> v & 1) {
+            PyErr_SetString(PyExc_ValueError, "entries must be a permutation of range(n)");
+            goto done;
+        }
+        pos[v] = i;
+        pm[i + 1] = pm[i] | (uint64_t)1 << v;
+    }
+    int first_end[MAX_ORDER], last_start[MAX_ORDER];
+    for (int i = 0; i < n; i++) {
+        first_end[i] = n;
+        last_start[i] = -1;
+    }
+    for (int k = 0; k < ix->start[n]; k++) {
+        uint64_t m = ix->lead[k].mask;
+        int lo = n, hi = -1;
+        for (; m; m &= m - 1) {
+            int x = pos[__builtin_ctzll(m)];
+            lo = x < lo ? x : lo;
+            hi = x > hi ? x : hi;
+        }
+        if (hi < first_end[lo]) {
+            first_end[lo] = hi;
+        }
+        if (lo > last_start[hi]) {
+            last_start[hi] = lo;
+        }
+    }
+    out = PyList_New(0);
+    for (int length = 3; out != NULL && length < n; length += 3) {
+        for (int s = 0, e = length - 1; e < n; s++, e++) {
+            if (first_end[s] > e || last_start[e] < s) {
+                continue;
+            }
+            uint64_t mask = pm[e + 1] ^ pm[s];
+            if (!split_mask(ix, mask, NULL, NULL)) {
+                continue;
+            }
+            PyObject *hit = Py_BuildValue("(iiK)", s, length, (unsigned long long)mask);
+            if (hit == NULL || PyList_Append(out, hit) < 0) {
+                Py_XDECREF(hit);
+                Py_CLEAR(out);
+                break;
+            }
+            Py_DECREF(hit);
+            if (stop_first) {
+                goto done;
+            }
+        }
+    }
+
+done:
+    Py_DECREF(seq);
     return out;
 }
 
@@ -674,6 +790,8 @@ static PyMethodDef native_methods[] = {
      "split(index, mask): whether mask partitions into disjoint blocks."},
     {"find", (PyCFunction)(void (*)(void))native_find, METH_FASTCALL,
      "find(index, mask): the block ids of a partition of mask, or None."},
+    {"scan", (PyCFunction)(void (*)(void))native_scan, METH_FASTCALL,
+     "scan(index, entries, stop_first): the (start, length, mask) of each proper segment that splits."},
     {"greedy", (PyCFunction)(void (*)(void))native_greedy, METH_FASTCALL,
      "greedy(n, target, key): random_system's triples from MT19937 seeded with key."},
     {"index", (PyCFunction)(void (*)(void))native_index, METH_FASTCALL,

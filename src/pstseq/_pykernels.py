@@ -12,20 +12,21 @@ while it checks its pairs; its docstring describes them.
 Point sets travel as integer bitmasks.  Python integers are unbounded,
 so there is no limit on the order of the system.
 
-The partition test and the packing search have a second
-implementation in ``_native.c``, a C extension working on one 64-bit
-word, for systems of order at most 64: it runs the same least-point
-recursion for ``can_partition``, ``find_partition`` and
-``inadmissible_scan``, and the same branch-and-bound for
-``max_packing``.  ``generators.random_system`` takes its shuffle and
-scan from the same extension, which seeds its own copy of the stdlib's
-generator, and ``core.TripleSystem`` its pair check and index once the
-extension is loaded.  It is compiled with the system C compiler on the
-first call in a process that needs it, never at import or when a
-system is built, and cached in this package's ``__pycache__`` (see
-``_load_native``).  Larger orders, and hosts where the build fails, run
-the Python code here and in those modules, which gives the same
-answers, parts and counts in the same order.
+The partition test, the segment scan and the packing search have a
+second implementation in ``_native.c``, a C extension working on one
+64-bit word, for systems of order at most 64: it runs the same
+least-point recursion for ``can_partition`` and ``find_partition``,
+the whole filtered scan of ``inadmissible_scan`` (only the parts of a
+segment that splits come from ``find_partition``), and the same
+branch-and-bound for ``max_packing``.  ``generators.random_system``
+takes its shuffle and scan from the same extension, which seeds its
+own copy of the stdlib's generator, and ``core.TripleSystem`` its pair
+check and index once the extension is loaded.  It is compiled with the
+system C compiler on the first call in a process that needs it, never
+at import or when a system is built, and cached in this package's
+``__pycache__`` (see ``_load_native``).  Larger orders, and hosts where
+the build fails, run the Python code here and in those modules, which
+gives the same answers, parts and counts in the same order.
 """
 
 from __future__ import annotations
@@ -176,7 +177,9 @@ def inadmissible_scan(sys, entries, stop_first=False):
     """All proper segments whose point set splits into disjoint blocks.
 
     Scans lengths 3, 6, ... below n, each over all starts; returns
-    (start, length, parts) triples in (length, start) order.
+    (start, length, parts) triples in (length, start) order, only the
+    first with ``stop_first``.  ``entries`` is a permutation of
+    ``range(n)``.
 
     A segment that splits has the entry at each of its ends in a block
     inside it.  So, with each block spanning the positions from its
@@ -185,15 +188,17 @@ def inadmissible_scan(sys, entries, stop_first=False):
     and some block spanning to e starts at or after s
     (``last_start[e] >= s``).  The filter skips only segments that
     cannot split, so the hits and their order are those of the full
-    scan.  A segment that passes is tested with no parts kept, by the
-    compiled test when the system has one (looked up once per scan) and
-    by ``_split`` otherwise, and only one that splits goes to
-    ``find_partition`` for its parts; the scan never calls
-    ``can_partition``.
+    scan.  Systems with a compiled index (``_handle``) run the whole
+    scan in one call of ``scan`` in the extension; others run the loop
+    here, testing with ``_split``.  Either way a segment is tested with
+    no parts kept, and only one that splits goes to ``find_partition``
+    for its parts; the scan never calls ``can_partition``.
     """
-    n = sys.n
     handle = _handle(sys)
-    split, index = (_native.split, handle) if handle else (_split, sys)
+    if handle:
+        return [(start, length, find_partition(sys, mask))
+                for start, length, mask in _native.scan(handle, entries, stop_first)]
+    n = sys.n
     pos = [0] * n
     pm = [0] * (n + 1)
     for i, e in enumerate(entries):
@@ -221,7 +226,7 @@ def inadmissible_scan(sys, entries, stop_first=False):
             end = start + length - 1
             if first_end[start] <= end and last_start[end] >= start:
                 mask = pm[end + 1] ^ pm[start]
-                if split(index, mask):
+                if _split(sys, mask):
                     out.append((start, length, find_partition(sys, mask)))
                     if stop_first:
                         return out

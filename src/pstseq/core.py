@@ -358,11 +358,12 @@ class TripleSystem:
         return f"TripleSystem(n={self.n}, blocks={len(self.blocks)})"
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=128)
 def _index_labels(n: int) -> tuple[str, ...]:
     """The labels of a system whose points are its own indices: one
     shared tuple of ``str(0) .. str(n - 1)`` per order, for the last
-    eight orders asked for."""
+    128 orders asked for, more than the 50 orders of the benchmark's
+    ``construct-corpus``."""
     return tuple(map(str, range(n)))
 
 

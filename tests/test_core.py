@@ -28,7 +28,7 @@ from pstseq import (
     validate_system,
 )
 from pstseq import _pykernels
-from pstseq.core import _is_int_token
+from pstseq.core import _index_labels, _is_int_token
 from pstseq.errors import (
     InputError,
     PairInTwoBlocks,
@@ -52,6 +52,17 @@ class TestValidateSystem:
         system = validate_system(3, [[1, 2, 3]])
         assert len(system.blocks) == 1
         assert sorted(system.labels) == ["1", "2", "3"]
+
+    def test_index_labels_are_kept_across_a_sweep_of_orders(self):
+        # A second sweep over orders 3-64 finds every label tuple cached.
+        def sweep():
+            return [validate_system(n, []).labels for n in range(3, 65)]
+
+        first = sweep()
+        misses = _index_labels.cache_info().misses
+        second = sweep()
+        assert _index_labels.cache_info().misses == misses
+        assert all(a is b for a, b in zip(first, second))
 
     def test_pair_in_two_blocks(self):
         with pytest.raises(PairInTwoBlocks) as err:

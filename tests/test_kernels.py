@@ -250,7 +250,55 @@ def test_native_matches_python_recursion(native, case):
         assert pure.can_partition(system, mask) == (parts is not None)
 
 
-def test_native_serves_orders_up_to_64(native):
+def _planted(system, rng, whole):
+    """A permutation of the system's points with a union of disjoint
+    blocks, the first one through the last point when a block holds it,
+    placed as one segment: block by block in random inner order when
+    ``whole`` is false, so that every run of whole blocks splits, else
+    as one shuffled run."""
+    n = system.n
+    blocks = sorted(rng.sample(system.blocks, len(system.blocks)), key=lambda b: n - 1 not in b)
+    runs = []
+    used = set()
+    for blk in blocks:
+        if not used & set(blk.points) and len(used) < 30:
+            used.update(blk.points)
+            runs.append(rng.sample(blk.points, 3))
+    union = [p for run in runs for p in run]
+    if whole:
+        rng.shuffle(union)
+    rest = [p for p in range(n) if p not in used]
+    rng.shuffle(rest)
+    at = rng.randrange(len(rest) + 1)
+    return rest[:at] + union + rest[at:]
+
+
+def test_native_scan_matches_python(native):
+    # Orders 0-64.  Above order 25 the systems hold n blocks: at half
+    # the bound one unfiltered scan of order 64 takes half a minute.
+    last = 0
+    for n in range(65):
+        system = random_system(n, johnson_schonheim(n) if n <= 25 else n, n)
+        twin = _python_twin(system)
+        handle = native.prepare(n, system.lead)
+        rng = random.Random(n)
+        for entries in (rng.sample(range(n), n), _planted(system, rng, False),
+                        _planted(system, rng, True)):
+            expected = _unfiltered_scan(n, system.block_masks, entries)
+            hits = [(s, k, sum(1 << p for p in entries[s : s + k])) for s, k, _ in expected]
+            for seq in (entries, tuple(entries)):
+                for stop_first in (False, True):
+                    cut = 1 if stop_first else len(expected)
+                    assert native.scan(handle, seq, stop_first) == hits[:cut]
+                    assert pure.inadmissible_scan(system, seq, stop_first) == expected[:cut]
+                    assert pure.inadmissible_scan(twin, seq, stop_first) == expected[:cut]
+            if n == 64:
+                last += sum(63 in entries[s : s + k] for s, k, _ in expected)
+        assert type(system._native).__name__ == "PyCapsule" and twin._native is False
+    assert last > 0
+
+
+def test_native_serves_orders_up_to_64(native, monkeypatch):
     for n, expect in ((0, True), (64, True), (65, False), (70, False)):
         system = random_system(n, min(20, johnson_schonheim(n)), 1)
         assert system._native is None
@@ -258,6 +306,15 @@ def test_native_serves_orders_up_to_64(native):
         assert (type(system._native).__name__ == "PyCapsule") is expect
         if not expect:
             assert system._native is False
+    # An order-65 scan runs the Python loop with the extension loaded.
+    tested = []
+    split = pure._split
+    monkeypatch.setattr(pure, "_split", lambda *args: tested.append(args) or split(*args))
+    system = random_system(65, 65, 1)
+    entries = _planted(system, random.Random(65), False)
+    expected = _unfiltered_scan(65, system.block_masks, entries)
+    assert expected and pure.inadmissible_scan(system, entries) == expected
+    assert tested and system._native is False
 
 
 def test_native_checks_its_arguments(native):
@@ -281,6 +338,29 @@ def test_native_checks_its_arguments(native):
         native.prepare(13, system.lead[1:] + ((),))
     with pytest.raises(TypeError):
         native.prepare(13, ((7,),) + system.lead[1:])
+    with pytest.raises(ValueError):
+        native.prepare(3, (((1 << 0 | 1 << 1 | 1 << 3, 0),), (), ()))
+    perm = list(range(13))
+    for entries in (perm[1:], perm + [0], perm[:12] + [0], perm[:12] + [-1],
+                    perm[:12] + [13], perm[:12] + [64], perm[:12] + [1 << 70]):
+        with pytest.raises(ValueError):
+            native.scan(handle, entries, False)
+    class Clears:
+        # Empties the list being scanned, if it is ever read as an index.
+        def __index__(self):
+            shrinking.clear()
+            return 12
+
+    shrinking = perm[:12] + [Clears()]
+    for entries in (perm[:12] + ["12"], perm[:12] + [12.0], shrinking, 13):
+        with pytest.raises(TypeError):
+            native.scan(handle, entries, False)
+    with pytest.raises(ValueError):
+        native.scan(object(), perm, False)
+    with pytest.raises(TypeError):
+        native.scan(handle, perm)
+    with pytest.raises(TypeError):
+        native.scan(handle, perm, False, 1)
 
 
 def _outputs(capsys):
