@@ -1,22 +1,23 @@
 /* The compiled kernels, for systems of order at most 64, whose point
  * sets fit one 64-bit word.
  *
- * Exact partition of a point set into disjoint blocks, by the same
- * least-point recursion as ``_pykernels._split``: branch on the least
- * point p of the target and try the blocks led by p in canonical order.
- * ``prepare(n, lead)`` flattens a system's ``lead`` into an index held
- * by a capsule; ``split(index, mask)`` says whether ``mask`` partitions,
- * and ``find(index, mask)`` gives the block ids of the partition in the
- * order ``_pykernels.find_partition`` gives them, or None.
+ * ``index(n, blocks)`` is the pair check of ``core.TripleSystem`` and
+ * gives the system's ``block_masks``.  ``prepare(n, block_masks)``
+ * builds from them the one index, held by a capsule, that the other
+ * kernels read.  ``split(index, mask)`` says whether ``mask`` partitions
+ * into disjoint blocks, by the least-point recursion of
+ * ``_pykernels._split``: branch on the least point p of the target and
+ * try the blocks led by p in block order.  ``find(index, mask)`` gives
+ * the block ids of the partition in the order
+ * ``_pykernels.find_partition`` gives them, or None.
  * ``scan(index, entries, stop_first)`` is the segment scan of
  * ``_pykernels.inadmissible_scan``, with the same filter and order, and
  * gives each segment that splits with its mask but not its parts.
+ * ``pack(index, budget)`` is ``_pykernels.max_packing``.
  *
  * ``greedy(n, target, key)`` is the shuffle and pair-disjoint scan of
  * ``generators.random_system``, drawing from its own MT19937 seeded as
- * ``random.Random`` seeds one; ``index(n, blocks)`` is the pair check and
- * index of ``core.TripleSystem``; and ``pack(block_masks, budget)`` is
- * ``_pykernels.max_packing``.
+ * ``random.Random`` seeds one.
  *
  * ``_pykernels`` builds this file on first use; where the build fails,
  * the Python code that each function mirrors runs instead.
@@ -38,11 +39,14 @@ typedef struct {
 } Lead;
 
 typedef struct {
-    /* The order; start[p] .. start[p + 1] index the blocks led by p, and
-     * points n .. 64 lead no block, so a mask holding them never
-     * partitions. */
+    /* The order and the block count; masks[i] is block i's mask, and
+     * start[p] .. start[p + 1] index the blocks led by p in ``lead``, in
+     * block order.  Points n .. 63 lead no block, so a mask holding them
+     * never partitions. */
     int n;
-    int start[MAX_ORDER + 2];
+    Py_ssize_t nb;
+    uint64_t *masks;
+    int start[MAX_ORDER + 1];
     Lead lead[];
 } Index;
 
@@ -73,11 +77,16 @@ split_mask(const Index *ix, uint64_t target, long *parts, int *count)
     return 0;
 }
 
+/* ``prepare(n, block_masks)``: the index of a system of order n whose
+ * blocks have the masks in the tuple ``block_masks``.  Each mask must be
+ * an int of 3 points in range(n): then every step of the recursion
+ * removes a point, and ``scan`` reads the positions of a block's points.
+ * An int is read without calling back into Python code. */
 static PyObject *
 native_prepare(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "prepare(n, lead) takes 2 arguments");
+        PyErr_SetString(PyExc_TypeError, "prepare(n, block_masks) takes 2 arguments");
         return NULL;
     }
     Py_ssize_t n = PyLong_AsSsize_t(args[0]);
@@ -88,61 +97,55 @@ native_prepare(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_ValueError, "order must lie in [0, 64]");
         return NULL;
     }
-    PyObject *lead = args[1];
-    if (!PyTuple_Check(lead) || PyTuple_GET_SIZE(lead) != n) {
-        PyErr_SetString(PyExc_TypeError, "lead must be a tuple of n tuples");
+    PyObject *masks = args[1];
+    if (!PyTuple_Check(masks)) {
+        PyErr_SetString(PyExc_TypeError, "block_masks must be a tuple");
         return NULL;
     }
-    Py_ssize_t total = 0;
-    for (Py_ssize_t p = 0; p < n; p++) {
-        PyObject *row = PyTuple_GET_ITEM(lead, p);
-        if (!PyTuple_Check(row)) {
-            PyErr_SetString(PyExc_TypeError, "lead must be a tuple of n tuples");
-            return NULL;
-        }
-        total += PyTuple_GET_SIZE(row);
-    }
-    if (total > INT_MAX) {
+    Py_ssize_t nb = PyTuple_GET_SIZE(masks);
+    if (nb > INT_MAX) {
         PyErr_SetString(PyExc_ValueError, "too many blocks");
         return NULL;
     }
-    Index *ix = malloc(sizeof(Index) + total * sizeof(Lead));
+    Index *ix = malloc(sizeof(Index) + nb * (sizeof(Lead) + sizeof(uint64_t)));
     if (ix == NULL) {
         return PyErr_NoMemory();
     }
-    int k = 0;
-    for (Py_ssize_t p = 0; p < n; p++) {
-        PyObject *row = PyTuple_GET_ITEM(lead, p);
-        ix->start[p] = k;
-        for (Py_ssize_t j = 0; j < PyTuple_GET_SIZE(row); j++, k++) {
-            PyObject *pair = PyTuple_GET_ITEM(row, j);
-            if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
-                PyErr_SetString(PyExc_TypeError, "lead pairs must be (mask, id) tuples");
-                goto fail;
-            }
-            Lead *b = &ix->lead[k];
-            b->mask = PyLong_AsUnsignedLongLong(PyTuple_GET_ITEM(pair, 0));
-            b->id = PyLong_AsLong(PyTuple_GET_ITEM(pair, 1));
-            if (PyErr_Occurred()) {
-                goto fail;
-            }
-            /* Each block led by p covers p, so every step of the
-             * recursion removes a point and it ends. */
-            if (b->mask == 0 || __builtin_ctzll(b->mask) != p) {
-                PyErr_SetString(PyExc_ValueError, "the blocks in lead[p] must have least point p");
-                goto fail;
-            }
-            /* ``scan`` reads the positions of a block's points. */
-            if (63 - __builtin_clzll(b->mask) >= n) {
-                PyErr_SetString(PyExc_ValueError, "the blocks in lead must lie in range(n)");
-                goto fail;
-            }
-        }
-    }
-    for (Py_ssize_t p = n; p < MAX_ORDER + 2; p++) {
-        ix->start[p] = k;
-    }
     ix->n = (int)n;
+    ix->nb = nb;
+    ix->masks = (uint64_t *)(ix->lead + nb);
+    /* next[p] counts the blocks led by p, then is the slot of the next
+     * one: a stable counting sort by least point. */
+    int next[MAX_ORDER] = {0};
+    for (Py_ssize_t i = 0; i < nb; i++) {
+        PyObject *item = PyTuple_GET_ITEM(masks, i);
+        if (!PyLong_Check(item)) {
+            PyErr_SetString(PyExc_TypeError, "block masks must be integers");
+            goto fail;
+        }
+        uint64_t m = PyLong_AsUnsignedLongLong(item);
+        if (m == (uint64_t)-1 && PyErr_Occurred()) {
+            goto fail;
+        }
+        if (__builtin_popcountll(m) != 3 || 63 - __builtin_clzll(m) >= n) {
+            PyErr_SetString(PyExc_ValueError, "each block mask must hold 3 points of range(n)");
+            goto fail;
+        }
+        ix->masks[i] = m;
+        next[__builtin_ctzll(m)]++;
+    }
+    int k = 0;
+    for (int p = 0; p < MAX_ORDER; p++) {
+        ix->start[p] = k;
+        k += next[p];
+        next[p] = ix->start[p];
+    }
+    ix->start[MAX_ORDER] = k;
+    for (Py_ssize_t i = 0; i < nb; i++) {
+        Lead *b = &ix->lead[next[__builtin_ctzll(ix->masks[i])]++];
+        b->mask = ix->masks[i];
+        b->id = (long)i;
+    }
     PyObject *capsule = PyCapsule_New(ix, CAPSULE_NAME, index_free);
     if (capsule != NULL) {
         return capsule;
@@ -215,7 +218,7 @@ native_find(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 /* ``scan(index, entries, stop_first)``: ``_pykernels.inadmissible_scan``
  * without the parts.  ``entries`` must be a permutation of range(n).
  * Each block's span runs from the lowest to the highest position of its
- * points; a block is listed once in ``lead``, under its least point.
+ * points.
  * Segment [s, e] is tested only when some block spanning from s ends at
  * or before e and some block spanning to e starts at or after s.
  * Returns the (start, length, mask) of each segment that splits, in
@@ -274,8 +277,8 @@ native_scan(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         first_end[i] = n;
         last_start[i] = -1;
     }
-    for (int k = 0; k < ix->start[n]; k++) {
-        uint64_t m = ix->lead[k].mask;
+    for (Py_ssize_t k = 0; k < ix->nb; k++) {
+        uint64_t m = ix->masks[k];
         int lo = n, hi = -1;
         for (; m; m &= m - 1) {
             int x = pos[__builtin_ctzll(m)];
@@ -519,12 +522,43 @@ native_greedy(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 /* The attribute name ``points``, interned when the module loads. */
 static PyObject *points_name;
 
-/* ``index(n, blocks)``: the pair check and index of
- * ``core.TripleSystem``, over each block's ``points`` in order.  Returns
- * (block_masks, lead, triples) as the Python loop builds them, or the
- * position of the first block that holds a point outside [0, n) or a
- * pair an earlier block covers.  Points are range-checked before any
- * shift, so no shift reaches 64. */
+/* Reads ``blk.points`` into p: 0 when all three are ints in [0, n), 1
+ * when one lies outside, -1 with an exception set. */
+static int
+read_points(PyObject *blk, long n, int p[3])
+{
+    PyObject *pts = PyObject_GetAttr(blk, points_name);
+    if (pts == NULL) {
+        return -1;
+    }
+    int status = 0;
+    if (!PyTuple_Check(pts) || PyTuple_GET_SIZE(pts) != 3) {
+        PyErr_SetString(PyExc_TypeError, "block points must be a tuple of 3 integers");
+        status = -1;
+    }
+    for (int k = 0; status >= 0 && k < 3; k++) {
+        int overflow;
+        long v = PyLong_AsLongAndOverflow(PyTuple_GET_ITEM(pts, k), &overflow);
+        if (v == -1 && PyErr_Occurred()) {
+            status = -1;
+        }
+        else if (overflow || v < 0 || v >= n) {
+            status = 1;
+        }
+        else {
+            p[k] = (int)v;
+        }
+    }
+    Py_DECREF(pts);
+    return status;
+}
+
+/* ``index(n, blocks)``: the pair check of ``core.TripleSystem``, over
+ * each block's ``points`` in order.  Returns the tuple of the blocks'
+ * masks, or the position of the first block that holds a point outside
+ * [0, n) or a pair an earlier block covers.  It walks a tuple copy of
+ * ``blocks``, which reading ``points`` cannot change.  Points are
+ * range-checked before any shift, so no shift reaches 64. */
 static PyObject *
 native_index(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -540,53 +574,21 @@ native_index(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_ValueError, "order must lie in [0, 64]");
         return NULL;
     }
-    PyObject *seq = PySequence_Fast(args[1], "blocks must be a sequence");
-    if (seq == NULL) {
+    PyObject *blocks = PySequence_Tuple(args[1]);
+    if (blocks == NULL) {
         return NULL;
     }
-    Py_ssize_t nb = PySequence_Fast_GET_SIZE(seq);
-    PyObject **items = PySequence_Fast_ITEMS(seq);
-    PyObject *result = NULL, *masks = NULL, *lead = NULL;
-    PyObject *triples = PyTuple_New(nb);
-    /* bits[i] is block i's mask and first[i] its first point; led[p]
-     * counts the blocks led by p, then fills lead[p]. */
-    uint64_t *bits = malloc(nb * (sizeof(uint64_t) + 1) + 1);
-    Py_ssize_t led[MAX_ORDER] = {0};
+    Py_ssize_t nb = PyTuple_GET_SIZE(blocks);
+    PyObject *masks = PyTuple_New(nb), *result = NULL;
     uint64_t adj[MAX_ORDER] = {0};
-    if (bits == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    if (triples == NULL) {
-        goto done;
-    }
-    unsigned char *first = (unsigned char *)(bits + nb);
-    for (Py_ssize_t i = 0; i < nb; i++) {
-        PyObject *pts = PyObject_GetAttr(items[i], points_name);
-        if (pts == NULL) {
+    for (Py_ssize_t i = 0; masks != NULL && i < nb; i++) {
+        int p[3] = {0, 0, 0};
+        int status = read_points(PyTuple_GET_ITEM(blocks, i), n, p);
+        if (status < 0) {
             goto done;
-        }
-        PyTuple_SET_ITEM(triples, i, pts);
-        if (!PyTuple_Check(pts) || PyTuple_GET_SIZE(pts) != 3) {
-            PyErr_SetString(PyExc_TypeError, "block points must be a tuple of 3 integers");
-            goto done;
-        }
-        int p[3] = {0, 0, 0}, outside = 0;
-        for (int k = 0; k < 3; k++) {
-            int overflow;
-            long v = PyLong_AsLongAndOverflow(PyTuple_GET_ITEM(pts, k), &overflow);
-            if (v == -1 && PyErr_Occurred()) {
-                goto done;
-            }
-            if (overflow || v < 0 || v >= n) {
-                outside = 1;
-            }
-            else {
-                p[k] = (int)v;
-            }
         }
         int a = p[0], b = p[1], c = p[2];
-        if (outside || adj[a] >> b & 1 || adj[a] >> c & 1 || adj[b] >> c & 1) {
+        if (status || adj[a] >> b & 1 || adj[a] >> c & 1 || adj[b] >> c & 1) {
             result = PyLong_FromSsize_t(i);
             goto done;
         }
@@ -594,50 +596,18 @@ native_index(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         adj[a] |= m;
         adj[b] |= m;
         adj[c] |= m;
-        bits[i] = m;
-        first[i] = (unsigned char)a;
-        led[a]++;
-    }
-
-    masks = PyTuple_New(nb);
-    lead = PyTuple_New(n);
-    if (masks == NULL || lead == NULL) {
-        goto done;
-    }
-    for (long q = 0; q < n; q++) {
-        PyObject *row = PyTuple_New(led[q]);
-        if (row == NULL) {
+        PyObject *mask = PyLong_FromUnsignedLongLong(m);
+        if (mask == NULL) {
             goto done;
         }
-        PyTuple_SET_ITEM(lead, q, row);
-        led[q] = 0;
+        PyTuple_SET_ITEM(masks, i, mask);
     }
-    for (Py_ssize_t i = 0; i < nb; i++) {
-        PyObject *m = PyLong_FromUnsignedLongLong(bits[i]);
-        if (m == NULL) {
-            goto done;
-        }
-        PyTuple_SET_ITEM(masks, i, m);
-        PyObject *pair = PyTuple_New(2);
-        PyObject *bid = PyLong_FromSsize_t(i);
-        if (pair == NULL || bid == NULL) {
-            Py_XDECREF(pair);
-            Py_XDECREF(bid);
-            goto done;
-        }
-        Py_INCREF(m);
-        PyTuple_SET_ITEM(pair, 0, m);
-        PyTuple_SET_ITEM(pair, 1, bid);
-        PyTuple_SET_ITEM(PyTuple_GET_ITEM(lead, first[i]), led[first[i]]++, pair);
-    }
-    result = PyTuple_Pack(3, masks, lead, triples);
+    result = masks;
+    masks = NULL;
 
 done:
     Py_XDECREF(masks);
-    Py_XDECREF(lead);
-    Py_XDECREF(triples);
-    free(bits);
-    Py_DECREF(seq);
+    Py_DECREF(blocks);
     return result;
 }
 
@@ -647,20 +617,19 @@ typedef struct {
     int depth;
 } Task;
 
-/* ``pack(block_masks, budget)``: ``_pykernels.max_packing`` on the
- * blocks' masks, with the same bounds, visit order and node count; a
- * budget of None or of 2**63 or more sets no limit.  Returns (size,
- * witness ids, nodes, complete). */
+/* ``pack(index, budget)``: ``_pykernels.max_packing`` on the indexed
+ * blocks, with the same bounds, visit order and node count; a budget of
+ * None or of 2**63 or more sets no limit.  Returns (size, witness ids,
+ * nodes, complete). */
 static PyObject *
 native_pack(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "pack(block_masks, budget) takes 2 arguments");
+        PyErr_SetString(PyExc_TypeError, "pack(index, budget) takes 2 arguments");
         return NULL;
     }
-    PyObject *blocks = args[0];
-    if (!PyTuple_Check(blocks)) {
-        PyErr_SetString(PyExc_TypeError, "block_masks must be a tuple");
+    const Index *ix = PyCapsule_GetPointer(args[0], CAPSULE_NAME);
+    if (ix == NULL) {
         return NULL;
     }
     long long budget = -1;
@@ -678,30 +647,19 @@ native_pack(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             budget = b;
         }
     }
-    Py_ssize_t nb = PyTuple_GET_SIZE(blocks);
-    /* masks, then reach and hit: the blocks from j on reach reach[j] and
-     * all meet hit[j]; then the stack of branches still to take. */
-    uint64_t *masks = malloc((3 * nb + 2) * sizeof(uint64_t) + (nb + 1) * sizeof(Task));
-    if (masks == NULL) {
+    Py_ssize_t nb = ix->nb;
+    const uint64_t *masks = ix->masks;
+    /* reach and hit: the blocks from j on reach reach[j] and all meet
+     * hit[j]; then the stack of branches still to take. */
+    uint64_t *reach = malloc((2 * nb + 2) * sizeof(uint64_t) + (nb + 1) * sizeof(Task));
+    if (reach == NULL) {
         return PyErr_NoMemory();
     }
-    uint64_t *reach = masks + nb;
     uint64_t *hit = reach + nb + 1;
     Task *stack = (Task *)(hit + nb + 1);
     int deg[MAX_ORDER] = {0};
     for (Py_ssize_t j = 0; j < nb; j++) {
-        uint64_t m = PyLong_AsUnsignedLongLong(PyTuple_GET_ITEM(blocks, j));
-        if (m == (uint64_t)-1 && PyErr_Occurred()) {
-            free(masks);
-            return NULL;
-        }
-        if (__builtin_popcountll(m) != 3) {
-            free(masks);
-            PyErr_SetString(PyExc_ValueError, "each block mask must hold 3 points");
-            return NULL;
-        }
-        masks[j] = m;
-        for (uint64_t rest = m; rest; rest &= rest - 1) {
+        for (uint64_t rest = masks[j]; rest; rest &= rest - 1) {
             deg[__builtin_ctzll(rest)]++;
         }
     }
@@ -769,7 +727,7 @@ native_pack(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             j++;
         }
     }
-    free(masks);
+    free(reach);
 
     PyObject *ids = PyTuple_New(best);
     for (int i = 0; ids != NULL && i < best; i++) {
@@ -785,7 +743,7 @@ native_pack(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
 static PyMethodDef native_methods[] = {
     {"prepare", (PyCFunction)(void (*)(void))native_prepare, METH_FASTCALL,
-     "prepare(n, lead): the partition index of a system of order n <= 64."},
+     "prepare(n, block_masks): the index of a system of order n <= 64."},
     {"split", (PyCFunction)(void (*)(void))native_split, METH_FASTCALL,
      "split(index, mask): whether mask partitions into disjoint blocks."},
     {"find", (PyCFunction)(void (*)(void))native_find, METH_FASTCALL,
@@ -795,9 +753,9 @@ static PyMethodDef native_methods[] = {
     {"greedy", (PyCFunction)(void (*)(void))native_greedy, METH_FASTCALL,
      "greedy(n, target, key): random_system's triples from MT19937 seeded with key."},
     {"index", (PyCFunction)(void (*)(void))native_index, METH_FASTCALL,
-     "index(n, blocks): TripleSystem's (block_masks, lead, triples), or the first bad block."},
+     "index(n, blocks): TripleSystem's block_masks, or the position of the first bad block."},
     {"pack", (PyCFunction)(void (*)(void))native_pack, METH_FASTCALL,
-     "pack(block_masks, budget): max_packing's (size, witness ids, nodes, complete)."},
+     "pack(index, budget): max_packing's (size, witness ids, nodes, complete)."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -5,9 +5,9 @@ vertex-disjoint blocks, the segment scan behind admissibility checking,
 the depth-first sequence search, and the disjoint-block
 branch-and-bound.
 
-Every kernel takes a ``core.TripleSystem`` and reads its ``n``,
-``block_masks``, ``lead`` and ``triples``, which the system builds
-while it checks its pairs; its docstring describes them.
+Every kernel takes a ``core.TripleSystem`` and reads its ``n`` and
+``block_masks``, which the system builds while it checks its pairs, and
+in Python its ``lead`` or ``blocks``; its docstring describes them.
 
 Point sets travel as integer bitmasks.  Python integers are unbounded,
 so there is no limit on the order of the system.
@@ -18,10 +18,11 @@ second implementation in ``_native.c``, a C extension working on one
 least-point recursion for ``can_partition`` and ``find_partition``,
 the whole filtered scan of ``inadmissible_scan`` (only the parts of a
 segment that splits come from ``find_partition``), and the same
-branch-and-bound for ``max_packing``.  ``generators.random_system``
+branch-and-bound for ``max_packing``, all on one index built from
+``block_masks`` (``_handle``).  ``generators.random_system``
 takes its shuffle and scan from the same extension, which seeds its
 own copy of the stdlib's generator, and ``core.TripleSystem`` its pair
-check and index once the extension is loaded.  It is compiled with the
+check once the extension is loaded.  It is compiled with the
 system C compiler on the first call in a process that needs it, never
 at import or when a system is built, and cached in this package's
 ``__pycache__`` (see ``_load_native``).  Larger orders, and hosts where
@@ -49,6 +50,10 @@ def _split(sys, target, parts=None):
             return True
     return False
 
+
+#: The largest order the compiled kernels serve: a point set of such a
+#: system fits one 64-bit word.
+_NATIVE_MAX_ORDER = 64
 
 #: The source of the compiled kernels.  Its builds are cached in
 #: the ``__pycache__`` directory next to it.
@@ -134,16 +139,16 @@ def _compile(cache, path, suffix):
 
 
 def _handle(sys):
-    """The system's compiled partition index, or False when there is none.
+    """The system's compiled index, or False when there is none.
 
-    Made on first use and kept in ``sys._native``: False for orders above
-    64, which never trigger a build, or when the extension could not be
-    built.
+    Made from ``block_masks`` on first use and kept in ``sys._native``:
+    False for orders above ``_NATIVE_MAX_ORDER``, which never trigger a
+    build, or when the extension could not be built.
     """
     handle = sys._native
     if handle is None:
-        native = sys.n <= 64 and _extension()
-        handle = sys._native = native.prepare(sys.n, sys.lead) if native else False
+        native = sys.n <= _NATIVE_MAX_ORDER and _extension()
+        handle = sys._native = native.prepare(sys.n, sys.block_masks) if native else False
     return handle
 
 
@@ -206,7 +211,8 @@ def inadmissible_scan(sys, entries, stop_first=False):
         pm[i + 1] = pm[i] | (1 << e)
     first_end = [n] * n
     last_start = [-1] * n
-    for a, b, c in sys.triples:
+    for blk in sys.blocks:
+        a, b, c = blk.points
         x = pos[a]
         y = pos[b]
         z = pos[c]
@@ -341,19 +347,19 @@ def max_packing(sys, budget=None):
     part of the contract: the tests pin all four values per system
     against an independent reference copy of these bounds.
 
-    Systems of order at most 64 run ``pack`` in the compiled extension,
-    which gives the same four values; larger ones, and hosts where the
-    build fails, run the search here.
+    Systems with a compiled index (``_handle``) run ``pack`` in the
+    extension, which gives the same four values; others run the search
+    here.
     """
+    handle = _handle(sys)
+    if handle:
+        return _native.pack(handle, budget)
     masks = sys.block_masks
-    if sys.n <= 64:
-        native = _extension()
-        if native:
-            return native.pack(masks, budget)
-    triples = sys.triples
+    blocks = sys.blocks
     nblocks = len(masks)
     deg = [0] * sys.n
-    for a, b, c in triples:
+    for blk in blocks:
+        a, b, c = blk.points
         deg[a] += 1
         deg[b] += 1
         deg[c] += 1
@@ -364,7 +370,7 @@ def max_packing(sys, budget=None):
         m = masks[j]
         r |= m
         if not m & h:
-            a, b, c = triples[j]
+            a, b, c = blocks[j].points
             da, db, dc = deg[a], deg[b], deg[c]
             if da >= db and da >= dc:
                 h |= 1 << a

@@ -7,7 +7,7 @@ allowed and count toward the order.  A sequence of all points is
 a system admitting an admissible sequence is *sequenceable*.
 
 Everything here is pure and the system object is immutable after
-validation, apart from the compiled partition index the kernels cache
+validation, apart from the compiled index the kernels cache
 on it at first use (``TripleSystem._native``); that index never changes
 an answer and never travels: pickle and ``copy`` rebuild a system from
 its order, blocks and labels.  So instances are safe to share across
@@ -190,31 +190,30 @@ class TripleSystem:
     """Validated point set plus edge-disjoint block family.
 
     ``labels`` maps dense indices 0..n-1 back to the input tokens;
-    ``block_masks`` holds each block's points as a bitmask;
-    ``lead[p]`` lists the ``(mask, id)`` pairs of the blocks whose least
-    point is ``p``, in canonical order: the only blocks that can cover
-    ``p`` inside a point set whose least point is ``p``; ``triples``
-    holds each block's points in ascending order; ``pair_index`` maps
-    each covered unordered pair to its unique block.  The kernels of
-    ``_pykernels`` take the system itself and read ``n``,
-    ``block_masks``, ``lead`` and ``triples``.  The constructor checks
-    the blocks in order with one adjacency bitmask per point: it raises
+    ``block_masks`` holds each block's points as a bitmask, the one form
+    every kernel of ``_pykernels`` reads.  The constructor checks the
+    blocks in order with one adjacency bitmask per point: it raises
     PointOutOfRange at the first point outside [0, n), and
     PairInTwoBlocks, naming both blocks, at the first pair covered
-    twice; the same loop builds ``block_masks``, ``lead`` and ``triples``.
-    For orders up to 64, once ``_pykernels`` has loaded the compiled
+    twice; the same loop builds ``block_masks``.  For orders the
+    compiled kernels serve, once ``_pykernels`` has loaded the
     extension, ``index`` in ``_native.c`` runs that loop and the errors
     are raised here from the position of the block it stops at; the
     constructor never loads or builds the extension itself.
-    ``pair_index`` is built on first use: only the pair lookups
-    ``block_of_pair`` and ``is_block`` read it.  So is the label-to-index
-    map, which only ``index_of`` reads, and so is ``_native``, the
-    compiled partition index of ``_pykernels`` (False where there is
-    none).  Pickling and copying rebuild the system from ``(n, blocks,
-    labels)``, so none of these travels.
+
+    The rest is built on first use.  ``lead[p]`` lists the ``(mask,
+    id)`` pairs of the blocks whose least point is ``p``, in block
+    order: the only blocks that can cover ``p`` inside a point set whose
+    least point is ``p``; only the Python partition recursion reads it.
+    ``pair_index`` maps each covered unordered pair to its unique block;
+    only ``block_of_pair`` and ``is_block`` read it.  The label-to-index
+    map is read only by ``index_of``, and ``_native`` is the compiled
+    index of ``_pykernels`` (False where there is none).  Pickling and
+    copying rebuild the system from ``(n, blocks, labels)``, so none of
+    these travels.
     """
 
-    __slots__ = ("n", "blocks", "labels", "block_masks", "lead", "triples",
+    __slots__ = ("n", "blocks", "labels", "block_masks", "_lead",
                  "_pair_index", "_label_to_index", "_native")
 
     def __init__(self, n: int, blocks: tuple[Block, ...], labels: tuple[str, ...]):
@@ -222,19 +221,15 @@ class TripleSystem:
         self.blocks = blocks
         self.labels = labels
         native = _pykernels._native
-        if native and 0 <= n <= 64:
-            built = native.index(n, blocks)
-            if type(built) is int:
-                self._raise_bad_block(built)
-            self.block_masks, self.lead, self.triples = built
+        if native and 0 <= n <= _pykernels._NATIVE_MAX_ORDER:
+            masks = native.index(n, blocks)
+            if type(masks) is int:
+                self._raise_bad_block(masks)
         else:
             adj = [0] * n
             masks = []
-            lead = [[] for _ in range(n)]
-            triples = []
             for i, blk in enumerate(blocks):
-                pts = blk.points
-                a, b, c = pts
+                a, b, c = blk.points
                 if a < 0 or c >= n or adj[a] >> b & 1 or adj[a] >> c & 1 or adj[b] >> c & 1:
                     self._raise_bad_block(i)
                 m = 1 << a | 1 << b | 1 << c
@@ -242,17 +237,24 @@ class TripleSystem:
                 adj[b] |= m
                 adj[c] |= m
                 masks.append(m)
-                lead[a].append((m, i))
-                triples.append(pts)
-            self.block_masks = tuple(masks)
-            self.lead = tuple(map(tuple, lead))
-            self.triples = tuple(triples)
+            masks = tuple(masks)
+        self.block_masks = masks
+        self._lead = None
         self._pair_index = None
         self._label_to_index = None
         self._native = None
 
     def __reduce__(self):
         return TripleSystem, (self.n, self.blocks, self.labels)
+
+    @property
+    def lead(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        if self._lead is None:
+            lead = [[] for _ in range(self.n)]
+            for i, m in enumerate(self.block_masks):
+                lead[(m & -m).bit_length() - 1].append((m, i))
+            self._lead = tuple(map(tuple, lead))
+        return self._lead
 
     @property
     def pair_index(self) -> Mapping[tuple[int, int], Block]:

@@ -202,7 +202,7 @@ def random_system(n: int, target_blocks: int, seed: int) -> TripleSystem:
         )
     chosen = ()
     if target_blocks:
-        native = n <= 64 and _pykernels._extension()
+        native = n <= _pykernels._NATIVE_MAX_ORDER and _pykernels._extension()
         if native:
             chosen = _native_greedy(native, n, target_blocks, seed)
         else:

@@ -4,7 +4,11 @@ import copy
 import enum
 import functools
 import itertools
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -155,8 +159,7 @@ def _reference_fields(n, index_rows, labels):
         tuple((m, i) for i, (m, blk) in enumerate(zip(masks, blocks)) if blk.points[0] == p)
         for p in range(n)
     )
-    triples = tuple(blk.points for blk in blocks)
-    return blocks, labels, pair_index, masks, lead, triples
+    return blocks, labels, pair_index, masks, lead
 
 
 def _fields(system):
@@ -166,7 +169,6 @@ def _fields(system):
         dict(system.pair_index),
         system.block_masks,
         system.lead,
-        system.triples,
     )
 
 
@@ -361,10 +363,9 @@ class TestBuildPath:
         seq = construct(system)
         assert seq.entries == (0, 1, 3, 2, 4)
         points = [p for blk in system.blocks for p in blk.points]
-        points += [p for row in system.triples for p in row]
         points += seq.entries
         points += decide(system).witness.entries
-        assert len(points) == 16
+        assert len(points) == 13
         assert all(type(p) is int for p in points)
 
     @pytest.mark.parametrize("n,rows,error,message", _MALFORMED, ids=_MALFORMED_IDS)
@@ -425,19 +426,15 @@ def _index_builds():
     return builds
 
 
-def _index_fields(system):
-    return system.block_masks, system.lead, system.triples
-
-
 class TestCompiledIndex:
     def test_matches_the_python_loop(self, native, monkeypatch):
         builds = _index_builds()
-        compiled = [_index_fields(build()) for build in builds]
+        compiled = [build().block_masks for build in builds]
         monkeypatch.setattr(_pykernels, "_native", False)
         systems = [build() for build in builds]
-        assert [_index_fields(system) for system in systems] == compiled
+        assert [system.block_masks for system in systems] == compiled
         for system in systems:
-            assert native.index(system.n, system.blocks) == _index_fields(system)
+            assert native.index(system.n, system.blocks) == system.block_masks
 
     @pytest.mark.parametrize(
         "n,rows,error,message",
@@ -486,7 +483,35 @@ class TestCompiledIndex:
             blk.__dict__["points"] = points
             with pytest.raises(TypeError):
                 native.index(13, (blk,))
-        assert native.index(13, list(blocks)) == _index_fields(STS13)
+        assert native.index(13, list(blocks)) == STS13.block_masks
+        assert native.index(13, iter(blocks)) == STS13.block_masks
+        assert native.index(0, ()) == ()
+
+    def test_survives_a_block_that_empties_the_list(self, native):
+        # Reading ``points`` runs Python code, here code that empties the
+        # list being indexed.  ``index`` walks a copy and gives the masks
+        # of all 20 blocks; walking the list itself crashed the
+        # interpreter, so the call runs in a child process.
+        src = str(Path(_pykernels.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "from pstseq import Block, _pykernels\n"
+            "class Clearing(Block):\n"
+            "    @property\n"
+            "    def points(self):\n"
+            "        blocks.clear()\n"
+            "        return self.__dict__['points']\n"
+            "first = object.__new__(Clearing)\n"
+            "first.__dict__['points'] = (0, 1, 2)\n"
+            "blocks = [first] + [Block((3 * i, 3 * i + 1, 3 * i + 2)) for i in range(1, 20)]\n"
+            "masks = _pykernels._extension().index(64, blocks)\n"
+            "assert blocks == [] and masks == tuple(7 << 3 * i for i in range(20)), masks\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, (result.returncode, result.stderr)
 
 
 class TestPartitionIntoBlocks:

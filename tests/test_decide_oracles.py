@@ -201,6 +201,14 @@ def test_search_matches_the_reference_walk(budget, exhaust):
     assert kinds == expected[budget]
 
 
+@pytest.mark.usefixtures("python_path")
+@pytest.mark.parametrize("exhaust", [False, True])
+@pytest.mark.parametrize("budget", [None, 0, 1, 7])
+def test_search_matches_the_reference_walk_python(budget, exhaust):
+    # The same walk with every partition test on ``_split``.
+    test_search_matches_the_reference_walk(budget, exhaust)
+
+
 def test_memo_cleared_mid_search_changes_nothing(monkeypatch):
     cap = 2
     monkeypatch.setattr(_pykernels, "_MEMO_CAP", cap)

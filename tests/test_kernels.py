@@ -239,7 +239,7 @@ def _systems_and_masks(draw):
 @given(_systems_and_masks())
 def test_native_matches_python_recursion(native, case):
     system, masks = case
-    handle = native.prepare(system.n, system.lead)
+    handle = native.prepare(system.n, system.block_masks)
     twin = _python_twin(system)
     for mask in masks:
         parts = pure.find_partition(twin, mask)
@@ -248,6 +248,32 @@ def test_native_matches_python_recursion(native, case):
         assert native.find(handle, mask) == parts
         assert pure.find_partition(system, mask) == parts
         assert pure.can_partition(system, mask) == (parts is not None)
+
+
+def test_native_keeps_block_order_within_a_least_point(native):
+    # A system built directly may list its blocks out of canonical order.
+    # ``_split`` tries the blocks led by a point in block order, so the
+    # compiled index must group them by least point without reordering
+    # them: here the reversed order gives other parts than the
+    # canonical one for many sets.
+    changed = 0
+    for n in (19, 25):
+        base = random_system(n, johnson_schonheim(n), 0)
+        system = TripleSystem(n, base.blocks[::-1], base.labels)
+        handle = native.prepare(n, system.block_masks)
+        twin = _python_twin(system)
+        full = system.full_mask()
+        singles = itertools.combinations(range(n), 1)
+        fours = itertools.islice(itertools.combinations(range(n), 4), 300)
+        for drop in itertools.chain(singles, fours):
+            mask = full ^ sum(1 << p for p in drop)
+            parts = []
+            expected = tuple(reversed(parts)) if pure._split(twin, mask, parts) else None
+            assert native.find(handle, mask) == expected
+            canonical = pure.find_partition(base, mask)
+            if expected is not None:
+                changed += {system.blocks[i] for i in expected} != {base.blocks[i] for i in canonical}
+    assert changed > 200
 
 
 def _planted(system, rng, whole):
@@ -280,7 +306,7 @@ def test_native_scan_matches_python(native):
     for n in range(65):
         system = random_system(n, johnson_schonheim(n) if n <= 25 else n, n)
         twin = _python_twin(system)
-        handle = native.prepare(n, system.lead)
+        handle = native.prepare(n, system.block_masks)
         rng = random.Random(n)
         for entries in (rng.sample(range(n), n), _planted(system, rng, False),
                         _planted(system, rng, True)):
@@ -319,7 +345,7 @@ def test_native_serves_orders_up_to_64(native, monkeypatch):
 
 def test_native_checks_its_arguments(native):
     system = random_system(13, johnson_schonheim(13), 1)
-    handle = native.prepare(13, system.lead)
+    handle = native.prepare(13, system.block_masks)
     with pytest.raises(ValueError):
         native.split(object(), 7)
     with pytest.raises(TypeError):
@@ -330,16 +356,32 @@ def test_native_checks_its_arguments(native):
         native.split(handle, -1)
     with pytest.raises(TypeError):
         native.split(handle)
-    with pytest.raises(ValueError):
-        native.prepare(65, ((),) * 65)
+    masks = system.block_masks
     with pytest.raises(TypeError):
-        native.prepare(13, list(system.lead))
-    with pytest.raises(ValueError):
-        native.prepare(13, system.lead[1:] + ((),))
+        native.prepare(13)
     with pytest.raises(TypeError):
-        native.prepare(13, ((7,),) + system.lead[1:])
-    with pytest.raises(ValueError):
-        native.prepare(3, (((1 << 0 | 1 << 1 | 1 << 3, 0),), (), ()))
+        native.prepare("13", masks)
+    for n in (-1, 65):
+        with pytest.raises(ValueError):
+            native.prepare(n, ())
+    with pytest.raises(TypeError):
+        native.prepare(13, list(masks))
+    class Seven:
+        # Not an int, though ``operator.index`` reads it as one.
+        def __index__(self):
+            return 0b111
+
+    for bad in ("7", 7.0, Seven()):
+        with pytest.raises(TypeError):
+            native.prepare(13, masks + (bad,))
+    for bad in (-0b111, 1 << 64 | 0b11):
+        with pytest.raises(OverflowError):
+            native.prepare(13, masks + (bad,))
+    # Empty, not three points, or a point outside range(n).
+    for bad in (0, 0b11, 0b1111, 1 << 13 | 0b11, 1 << 63 | 0b11):
+        with pytest.raises(ValueError):
+            native.prepare(13, masks + (bad,))
+    assert native.find(native.prepare(64, (1 << 63 | 0b11,)), 1 << 63 | 0b11) == (0,)
     perm = list(range(13))
     for entries in (perm[1:], perm + [0], perm[:12] + [0], perm[:12] + [-1],
                     perm[:12] + [13], perm[:12] + [64], perm[:12] + [1 << 70]):
@@ -418,7 +460,7 @@ def test_build_is_cached_by_source_digest(native, monkeypatch, tmp_path):
     digest = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
     assert sorted(p.name for p in cache.iterdir()) == [f"_native.{digest}{suffix}", "other.pyc"]
     system = random_system(13, johnson_schonheim(13), 2)
-    handle = built.prepare(13, system.lead)
+    handle = built.prepare(13, system.block_masks)
     twin = _python_twin(system)
     full = (1 << 13) - 1
     for p in range(13):
