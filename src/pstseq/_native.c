@@ -14,6 +14,10 @@
  * ``_pykernels.inadmissible_scan``, with the same filter and order, and
  * gives each segment that splits with its mask but not its parts.
  * ``pack(index, budget)`` is ``_pykernels.max_packing``.
+ * ``walk(index, budget, exhaust, cap)`` is the depth-first walk of
+ * ``_pykernels.decide_search``, step for step, with its partition memo
+ * bounded by ``cap``; it stops with the exception of a pending signal,
+ * such as KeyboardInterrupt.
  *
  * ``greedy(n, target, key)`` is the shuffle and pair-disjoint scan of
  * ``generators.random_system``, drawing from its own MT19937 seeded as
@@ -611,6 +615,31 @@ done:
     return result;
 }
 
+/* Reads the nonnegative int ``arg`` into ``limit``: -1, for no limit,
+ * when it is 2**63 or more, or None where ``none_ok``.  Returns -1 with
+ * an exception set when it is none of these. */
+static int
+read_limit(PyObject *arg, const char *name, int none_ok, long long *limit)
+{
+    *limit = -1;
+    if (none_ok && arg == Py_None) {
+        return 0;
+    }
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(arg, &overflow);
+    if (v == -1 && PyErr_Occurred()) {
+        return -1;
+    }
+    if (overflow < 0 || (overflow == 0 && v < 0)) {
+        PyErr_Format(PyExc_ValueError, "%s must be nonnegative", name);
+        return -1;
+    }
+    if (overflow == 0) {
+        *limit = v;
+    }
+    return 0;
+}
+
 typedef struct {
     uint64_t used;
     Py_ssize_t next;
@@ -632,20 +661,9 @@ native_pack(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (ix == NULL) {
         return NULL;
     }
-    long long budget = -1;
-    if (args[1] != Py_None) {
-        int overflow;
-        long long b = PyLong_AsLongLongAndOverflow(args[1], &overflow);
-        if (b == -1 && PyErr_Occurred()) {
-            return NULL;
-        }
-        if (overflow < 0 || (overflow == 0 && b < 0)) {
-            PyErr_SetString(PyExc_ValueError, "budget must be nonnegative");
-            return NULL;
-        }
-        if (overflow == 0) {
-            budget = b;
-        }
+    long long budget;
+    if (read_limit(args[1], "budget", 1, &budget) < 0) {
+        return NULL;
     }
     Py_ssize_t nb = ix->nb;
     const uint64_t *masks = ix->masks;
@@ -741,6 +759,209 @@ native_pack(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return Py_BuildValue("(iNLN)", best, ids, nodes, PyBool_FromLong(complete));
 }
 
+/* The walk's partition memo: open addressing on the mask, which is never
+ * 0 there, with linear probing.  ``size`` is a power of two, 2**(64 -
+ * shift), and ``count`` masks are held; the table doubles when it is
+ * half full and is emptied when a miss finds ``cap`` masks held. */
+typedef struct {
+    uint64_t *keys;
+    unsigned char *hits;
+    size_t size, count;
+    unsigned long long cap;
+    int shift;
+} Memo;
+
+#define MEMO_MIN_BITS 8
+
+static int
+memo_alloc(Memo *memo, int bits)
+{
+    size_t size = (size_t)1 << bits;
+    uint64_t *keys = calloc(size, sizeof(uint64_t) + 1);
+    if (keys == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    memo->keys = keys;
+    memo->hits = (unsigned char *)(keys + size);
+    memo->size = size;
+    memo->shift = 64 - bits;
+    return 0;
+}
+
+static size_t
+memo_slot(const Memo *memo, uint64_t mask)
+{
+    size_t i = (size_t)(mask * 0x9E3779B97F4A7C15ULL >> memo->shift);
+    while (memo->keys[i] != 0 && memo->keys[i] != mask) {
+        i = (i + 1) & (memo->size - 1);
+    }
+    return i;
+}
+
+/* Doubles the table; -1 with MemoryError set when that fails. */
+static int
+memo_grow(Memo *memo)
+{
+    Memo old = *memo;
+    if (memo_alloc(memo, 65 - old.shift) < 0) {
+        return -1;
+    }
+    for (size_t i = 0; i < old.size; i++) {
+        if (old.keys[i] != 0) {
+            size_t j = memo_slot(memo, old.keys[i]);
+            memo->keys[j] = old.keys[i];
+            memo->hits[j] = old.hits[i];
+        }
+    }
+    free(old.keys);
+    return 0;
+}
+
+/* Whether ``mask``, of a multiple of 3 points, splits: from the memo, or
+ * by ``split_mask`` on a miss.  -1 with MemoryError set when the table
+ * cannot grow. */
+static int
+memo_split(Memo *memo, const Index *ix, uint64_t mask)
+{
+    size_t i = memo_slot(memo, mask);
+    if (memo->keys[i] == mask) {
+        return memo->hits[i];
+    }
+    if (memo->count >= memo->cap) {
+        memset(memo->keys, 0, memo->size * sizeof(uint64_t));
+        memo->count = 0;
+        i = memo_slot(memo, mask);
+    }
+    int hit = split_mask(ix, mask, NULL, NULL);
+    memo->keys[i] = mask;
+    memo->hits[i] = (unsigned char)hit;
+    if (2 * ++memo->count > memo->size && memo_grow(memo) < 0) {
+        return -1;
+    }
+    return hit;
+}
+
+/* ``walk(index, budget, exhaust, cap)``: ``_pykernels.decide_search`` on
+ * the indexed blocks, step for step: the stacks ``pm`` and ``untried``
+ * (``sp`` entries each), least-bit candidates, the budget check before
+ * each node, the segments ending at the new entry shortest first and
+ * then the suffix, and a partition memo emptied when it holds ``cap``
+ * masks.  A budget of None or of 2**63 or more sets no limit.  Returns
+ * (witness or None, nodes, exhausted); a pending signal stops the walk
+ * with its exception. */
+static PyObject *
+native_walk(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError, "walk(index, budget, exhaust, cap) takes 4 arguments");
+        return NULL;
+    }
+    const Index *ix = PyCapsule_GetPointer(args[0], CAPSULE_NAME);
+    if (ix == NULL) {
+        return NULL;
+    }
+    long long budget, cap;
+    if (read_limit(args[1], "budget", 1, &budget) < 0
+        || read_limit(args[3], "cap", 0, &cap) < 0) {
+        return NULL;
+    }
+    int exhaust = PyObject_IsTrue(args[2]);
+    if (exhaust < 0) {
+        return NULL;
+    }
+    int n = ix->n;
+    if (n == 0) {
+        return Py_BuildValue("([]iO)", 0, Py_True);
+    }
+    Memo memo = {.cap = cap < 0 ? ULLONG_MAX : (unsigned long long)cap};
+    if (memo_alloc(&memo, MEMO_MIN_BITS) < 0) {
+        return NULL;
+    }
+    /* At n = 64 the shift would be undefined; ~0 is every point. */
+    uint64_t full = n == MAX_ORDER ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1;
+    uint64_t pm[MAX_ORDER + 1], untried[MAX_ORDER + 1];
+    int witness[MAX_ORDER];
+    int found = 0, exhausted = 1, sp = 1;
+    long long nodes = 0;
+    pm[0] = 0;
+    untried[0] = full;
+    while (sp > 0) {
+        uint64_t left = untried[sp - 1];
+        if (!left) {
+            sp--;
+            continue;
+        }
+        if (budget >= 0 && nodes >= budget) {
+            exhausted = 0;
+            break;
+        }
+        /* A node of a large system can take milliseconds (about 2 ms on
+         * the cyclic STS(57)), so a pending signal is looked for at each
+         * one; the check reads one flag. */
+        nodes++;
+        if (PyErr_CheckSignals() < 0) {
+            goto fail;
+        }
+        uint64_t bit = left & -left;
+        untried[sp - 1] = left ^ bit;
+        int pos = sp - 1;
+        uint64_t top = pm[pos] | bit;
+        int rest = n - 1 - pos;
+        /* Segments top ^ pm[k] of length 3, 6, ...; at a leaf k = 0 is
+         * the whole permutation, not a proper segment. */
+        int low = rest ? 0 : 1, k = pos - 2, cut = 0;
+        for (; k >= low && !cut; k -= 3) {
+            cut = memo_split(&memo, ix, top ^ pm[k]);
+        }
+        if (!cut && rest && rest % 3 == 0) {
+            cut = memo_split(&memo, ix, full ^ top);
+        }
+        if (cut < 0) {
+            goto fail;
+        }
+        if (cut) {
+            continue;
+        }
+        if (rest) {
+            pm[sp] = top;
+            untried[sp++] = full ^ top;
+            continue;
+        }
+        if (!found) {
+            for (int i = 0; i < pos; i++) {
+                witness[i] = __builtin_ctzll(pm[i + 1] ^ pm[i]);
+            }
+            witness[pos] = __builtin_ctzll(bit);
+            found = 1;
+        }
+        if (!exhaust) {
+            exhausted = 0;
+            break;
+        }
+    }
+    free(memo.keys);
+
+    PyObject *exhausted_obj = PyBool_FromLong(exhausted);
+    if (!found) {
+        return Py_BuildValue("(OLN)", Py_None, nodes, exhausted_obj);
+    }
+    PyObject *order = PyList_New(n);
+    for (int i = 0; order != NULL && i < n; i++) {
+        PyObject *point = PyLong_FromLong(witness[i]);
+        if (point == NULL) {
+            Py_CLEAR(order);
+            break;
+        }
+        PyList_SET_ITEM(order, i, point);
+    }
+    return Py_BuildValue("(NLN)", order, nodes, exhausted_obj);
+
+fail:
+    free(memo.keys);
+    return NULL;
+}
+
 static PyMethodDef native_methods[] = {
     {"prepare", (PyCFunction)(void (*)(void))native_prepare, METH_FASTCALL,
      "prepare(n, block_masks): the index of a system of order n <= 64."},
@@ -756,6 +977,8 @@ static PyMethodDef native_methods[] = {
      "index(n, blocks): TripleSystem's block_masks, or the position of the first bad block."},
     {"pack", (PyCFunction)(void (*)(void))native_pack, METH_FASTCALL,
      "pack(index, budget): max_packing's (size, witness ids, nodes, complete)."},
+    {"walk", (PyCFunction)(void (*)(void))native_walk, METH_FASTCALL,
+     "walk(index, budget, exhaust, cap): decide_search's (witness or None, nodes, exhausted)."},
     {NULL, NULL, 0, NULL},
 };
 

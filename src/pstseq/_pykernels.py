@@ -12,14 +12,16 @@ in Python its ``lead`` or ``blocks``; its docstring describes them.
 Point sets travel as integer bitmasks.  Python integers are unbounded,
 so there is no limit on the order of the system.
 
-The partition test, the segment scan and the packing search have a
-second implementation in ``_native.c``, a C extension working on one
-64-bit word, for systems of order at most 64: it runs the same
-least-point recursion for ``can_partition`` and ``find_partition``,
-the whole filtered scan of ``inadmissible_scan`` (only the parts of a
-segment that splits come from ``find_partition``), and the same
+The partition test, the segment scan, the sequence search and the
+packing search have a second implementation in ``_native.c``, a C
+extension working on one 64-bit word, for systems of order at most 64:
+it runs the same least-point recursion for ``can_partition`` and
+``find_partition``, the whole filtered scan of ``inadmissible_scan``
+(only the parts of a segment that splits come from ``find_partition``),
+the walk of ``decide_search`` step for step with its memo, and the same
 branch-and-bound for ``max_packing``, all on one index built from
-``block_masks`` (``_handle``).  ``generators.random_system``
+``block_masks``.  ``_handle`` is the one dispatch: a kernel calls the
+extension only when it gives an index.  ``generators.random_system``
 takes its shuffle and scan from the same extension, which seeds its
 own copy of the stdlib's generator, and ``core.TripleSystem`` its pair
 check once the extension is loaded.  It is compiled with the
@@ -139,24 +141,24 @@ def _compile(cache, path, suffix):
 
 
 def _handle(sys):
-    """The system's compiled index, or False when there is none.
+    """The system's compiled index, or False when its kernels run here.
 
-    Made from ``block_masks`` on first use and kept in ``sys._native``:
-    False for orders above ``_NATIVE_MAX_ORDER``, which never trigger a
-    build, or when the extension could not be built.
+    The one dispatch of every kernel: an index is given only while the
+    extension is loaded, so a kernel that has one can call ``_native``.
+    It is made from ``block_masks`` on first use and kept in
+    ``sys._native``: False for orders above ``_NATIVE_MAX_ORDER``, which
+    never trigger a build, or when the extension could not be built.
     """
     handle = sys._native
     if handle is None:
         native = sys.n <= _NATIVE_MAX_ORDER and _extension()
         handle = sys._native = native.prepare(sys.n, sys.block_masks) if native else False
-    return handle
+    return handle if _native else False
 
 
 def find_partition(sys, mask):
     """Partition ``mask`` into disjoint blocks; block ids or None."""
-    handle = sys._native
-    if handle is None:
-        handle = _handle(sys)
+    handle = _handle(sys)
     if handle:
         return _native.find(handle, mask)
     if mask.bit_count() % 3:
@@ -170,9 +172,7 @@ def find_partition(sys, mask):
 def can_partition(sys, mask):
     """Whether ``mask`` splits into disjoint blocks, by the same
     least-point branching as ``find_partition`` but with no parts kept."""
-    handle = sys._native
-    if handle is None:
-        handle = _handle(sys)
+    handle = _handle(sys)
     if handle:
         return _native.split(handle, mask)
     return mask.bit_count() % 3 == 0 and _split(sys, mask)
@@ -274,7 +274,16 @@ def decide_search(sys, budget=None, exhaust=False):
     it holds ``_MEMO_CAP`` entries, which bounds its memory under any
     budget.  A mask's answer never changes within one system, so the
     memo alters neither the walk order, the node count nor the witness.
+
+    Systems with a compiled index (``_handle``) run ``walk`` in the
+    extension: this loop step for step, with its own memo under the same
+    cap, giving the same three values.  Its tests run in C, never through
+    this module's ``can_partition``, and a pending signal such as Ctrl-C
+    stops it with its exception.  Others run the loop here.
     """
+    handle = _handle(sys)
+    if handle:
+        return _native.walk(handle, budget, exhaust, _MEMO_CAP)
     n = sys.n
     if n == 0:
         return [], 0, True

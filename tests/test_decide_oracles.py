@@ -7,8 +7,15 @@ all permutations for small orders, and an exact-cover certificate for
 the negative verdicts on Steiner triple systems.
 """
 
+import copy
 import itertools
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -209,7 +216,18 @@ def test_search_matches_the_reference_walk_python(budget, exhaust):
     test_search_matches_the_reference_walk(budget, exhaust)
 
 
+def _memo_cases():
+    """Systems, each with a budget, whose walks test many masks."""
+    cases = [(system, None) for system in _small_corpus()]
+    cases += [(cyclic_system(CyclicBase(n, bases)), 10_000) for n, bases in _CYCLIC.items()]
+    cases.append((random_system(19, 57, 0), 200))
+    return cases
+
+
+@pytest.mark.usefixtures("python_path")
 def test_memo_cleared_mid_search_changes_nothing(monkeypatch):
+    # The Python walk reaches ``can_partition`` through the module, so
+    # its tests can be counted; the compiled twin follows.
     cap = 2
     monkeypatch.setattr(_pykernels, "_MEMO_CAP", cap)
     tested = []
@@ -220,11 +238,8 @@ def test_memo_cleared_mid_search_changes_nothing(monkeypatch):
         return partition(sys, mask)
 
     monkeypatch.setattr(_pykernels, "can_partition", recording)
-    cases = [(system, None) for system in _small_corpus()]
-    cases += [(cyclic_system(CyclicBase(n, bases)), 10_000) for n, bases in _CYCLIC.items()]
-    cases.append((random_system(19, 57, 0), 200))
     cleared = 0
-    for system, budget in cases:
+    for system, budget in _memo_cases():
         blocks = [b.points for b in system.blocks]
         tested.clear()
         got = _pykernels.decide_search(system, budget, False)
@@ -233,3 +248,175 @@ def test_memo_cleared_mid_search_changes_nothing(monkeypatch):
         # means the memo was emptied at least three times
         cleared += len(set(tested)) > 3 * cap
     assert cleared > 100, cleared
+
+
+def test_compiled_memo_cleared_mid_search_changes_nothing(native, monkeypatch):
+    # The compiled walk keeps its own memo under the same cap; at 2 it is
+    # emptied over and over, which must change nothing either.
+    monkeypatch.setattr(_pykernels, "_MEMO_CAP", 2)
+    for system, budget in _memo_cases():
+        blocks = [b.points for b in system.blocks]
+        got = _pykernels.decide_search(system, budget, False)
+        assert got == _reference_search(system.n, blocks, budget), blocks
+        assert type(system._native).__name__ == "PyCapsule"
+
+
+# --------------------------------------------------------------------------
+# the compiled walk against the Python walk and the reference
+
+#: A cyclic STS(27): 117 blocks, no admissible order, 18,279 nodes.
+_STS27 = CyclicBase(27, ((0, 1, 3), (0, 4, 11), (0, 5, 15), (0, 6, 14), (0, 9, 18)))
+
+
+def _python_twin(system):
+    """A copy of ``system`` whose kernels run the Python code."""
+    twin = copy.copy(system)
+    twin._native = False
+    return twin
+
+
+def _walk_systems():
+    """JS-bound and half-bound random systems at orders 0-25, and the
+    cyclic STS(13), (19) and (27)."""
+    for n in range(26):
+        bound = johnson_schonheim(n)
+        for target in sorted({bound, bound // 2}):
+            for seed in range(2):
+                yield random_system(n, target, seed)
+    for n, bases in _CYCLIC.items():
+        yield cyclic_system(CyclicBase(n, bases))
+    yield cyclic_system(_STS27)
+
+
+def test_compiled_walk_matches_the_python_walk(native):
+    # Every budget with ``exhaust`` both ways, node for node, and no
+    # budget where a compiled walk of 10**5 nodes ends on its own.
+    kinds = set()
+    unbounded = 0
+    for system in _walk_systems():
+        twin = _python_twin(system)
+        for exhaust in (False, True):
+            for budget in (0, 1, 7, 200, 10_000):
+                got = _pykernels.decide_search(system, budget, exhaust)
+                assert got == _pykernels.decide_search(twin, budget, exhaust), (system, budget)
+                kinds.add((got[0] is not None, got[2]))
+            got = _pykernels.decide_search(system, 10**5, exhaust)
+            if got[2] or (got[0] is not None and not exhaust):
+                assert _pykernels.decide_search(system, None, exhaust) == got
+                assert _pykernels.decide_search(twin, None, exhaust) == got
+                unbounded += 1
+        assert type(system._native).__name__ == "PyCapsule" and twin._native is False
+    # (witness found, exhausted): every pair occurs
+    assert kinds == {(False, False), (True, False), (False, True), (True, True)}
+    assert unbounded > 100
+    sts27 = cyclic_system(_STS27)
+    assert _pykernels.decide_search(sts27, None, True) == (None, 18_279, True)
+
+
+@pytest.mark.parametrize("exhaust", [False, True])
+def test_compiled_walk_matches_the_reference_walk(native, exhaust):
+    # Small budgets at orders 1-25, and the cyclic STS(13) and (19) to
+    # the end of their walks: the reference takes seconds per walk of
+    # 10**4 nodes.  At order 0 the reference reports its one leaf as a
+    # stop where the walks report the end of the tree.
+    for system in _walk_systems():
+        if system.n in (0, 27):
+            continue
+        blocks = [b.points for b in system.blocks]
+        for budget in (0, 1, 7, 200) if system.n < 13 or exhaust else (7, 200):
+            got = _pykernels.decide_search(system, budget, exhaust)
+            assert got == _reference_search(system.n, blocks, budget, exhaust), (blocks, budget)
+    for n, bases in _CYCLIC.items():
+        system = cyclic_system(CyclicBase(n, bases))
+        blocks = [b.points for b in system.blocks]
+        got = _pykernels.decide_search(system, 10_000, exhaust)
+        assert got == _reference_search(n, blocks, 10_000, exhaust) == (None, n, True)
+
+
+def test_walk_at_orders_64_and_65(native, monkeypatch):
+    # At order 64 every point is a bit of the word; order 65 runs the
+    # Python walk with the extension loaded.  The cyclic STS(13) on the
+    # last 13 points cuts every walk that reaches them in order.
+    tested = []
+    split = _pykernels._split
+    monkeypatch.setattr(_pykernels, "_split", lambda *args: tested.append(args) or split(*args))
+    sts13 = cyclic_system(CyclicBase(13, _CYCLIC[13]))
+    for n in (64, 65):
+        top = validate_system(n, [[p + n - 13 for p in b.points] for b in sts13.blocks])
+        for system in (random_system(n, n, 1), top):
+            blocks = [b.points for b in system.blocks]
+            twin = _python_twin(system)
+            for exhaust in (False, True):
+                tested.clear()
+                got = _pykernels.decide_search(system, 200, exhaust)
+                assert bool(tested) is (n == 65)
+                assert got == _reference_search(n, blocks, 200, exhaust)
+                assert sorted(got[0]) == list(range(n))
+                for budget in (2_000, 20_000):
+                    assert _pykernels.decide_search(system, budget, exhaust) == \
+                        _pykernels.decide_search(twin, budget, exhaust)
+            assert (type(system._native).__name__ == "PyCapsule") is (n == 64)
+        # the STS(13) cuts the walk before its witness
+        assert _pykernels.decide_search(top, None, False)[1] > n
+
+
+def test_walk_checks_its_arguments(native):
+    system = random_system(13, johnson_schonheim(13), 1)
+    handle = native.prepare(13, system.block_masks)
+    assert native.walk(handle, 7, False, 2) == _pykernels.decide_search(system, 7, False)
+    with pytest.raises(ValueError):
+        native.walk(object(), 7, False, 2)
+    with pytest.raises(ValueError):
+        native.walk(system.block_masks, 7, False, 2)
+    for args in ((handle, 7, False), (handle, 7, False, 2, 0), ()):
+        with pytest.raises(TypeError):
+            native.walk(*args)
+    for budget, cap in ((-1, 2), (7, -1), (-(1 << 70), 2)):
+        with pytest.raises(ValueError):
+            native.walk(handle, budget, False, cap)
+    for budget, cap in ((7.0, 2), ("7", 2), (7, 2.0), (7, None), (7, "2")):
+        with pytest.raises(TypeError):
+            native.walk(handle, budget, False, cap)
+    # A budget of 2**63 or more, like None, sets no limit.
+    small = random_system(7, johnson_schonheim(7), 1)
+    handle = native.prepare(7, small.block_masks)
+    unbounded = native.walk(handle, None, True, 2)
+    assert unbounded[2] and unbounded[1] > 5_000
+    for budget in (1 << 63, 1 << 70):
+        assert native.walk(handle, budget, True, 2) == unbounded
+    empty = native.prepare(0, ())
+    assert native.walk(empty, 0, False, 2) == ([], 0, True)
+
+
+def test_unbounded_walk_stops_on_sigint(native):
+    # The cyclic STS(57) takes minutes to walk and about 2 ms a node, so
+    # the interrupt must land in the compiled walk.
+    src = str(Path(_pykernels.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from pstseq import CyclicBase, _pykernels, cyclic_system\n"
+        "bases = ((0, 1, 3), (0, 4, 9), (0, 6, 13), (0, 8, 26), (0, 10, 30),\n"
+        "         (0, 11, 32), (0, 12, 34), (0, 14, 29), (0, 16, 33), (0, 19, 38))\n"
+        "system = cyclic_system(CyclicBase(57, bases))\n"
+        "assert _pykernels._handle(system)\n"
+        "print('walking', flush=True)\n"
+        "try:\n"
+        "    _pykernels.decide_search(system, None, False)\n"
+        "except KeyboardInterrupt:\n"
+        "    print('interrupted', flush=True)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(3)\n"
+    )
+    child = subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert child.stdout.readline() == "walking\n"
+        time.sleep(0.5)
+        child.send_signal(signal.SIGINT)
+        out, err = child.communicate(timeout=10)
+    finally:
+        child.kill()
+        child.wait()
+    assert (child.returncode, out) == (0, "interrupted\n"), err

@@ -13,6 +13,7 @@ import random
 import shlex
 import shutil
 import subprocess
+import sys
 import sysconfig
 
 import pytest
@@ -164,10 +165,11 @@ def test_scan_matches_unfiltered_scan():
 
 def test_benchmark_hooks(monkeypatch):
     # Tracing swaps these module attributes: the kernel names must
-    # exist, the search must reach ``can_partition`` through the module,
-    # and the scan must not, so that a count of ``can_partition`` calls
-    # counts search tests only.  The scan calls ``find_partition`` once
-    # per hit.
+    # exist, the Python search must reach ``can_partition`` through the
+    # module, and the scan must not, so that a count of
+    # ``can_partition`` calls counts search tests only.  The scan calls
+    # ``find_partition`` once per hit.  The compiled walk makes its
+    # tests in C, so the search runs here on the Python path.
     mod, _ = kernels.prepare(0, ())
     for name in ("decide_search", "inadmissible_scan", "max_packing",
                  "can_partition", "find_partition"):
@@ -179,7 +181,9 @@ def test_benchmark_hooks(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(mod, name, counted)
     system = random_system(13, johnson_schonheim(13), 1)
-    witness, nodes, _ = mod.decide_search(system, 200, False)
+    with monkeypatch.context() as python_path:
+        python_path.setattr(pure, "_native", False)
+        mod.decide_search(system, 200, False)
     assert calls["can_partition"] > 0 and calls["find_partition"] == 0
     searched = calls["can_partition"]
     first = system.blocks[0].points
@@ -343,6 +347,33 @@ def test_native_serves_orders_up_to_64(native, monkeypatch):
     assert tested and system._native is False
 
 
+def test_cached_index_runs_python_when_the_extension_is_off(native, monkeypatch):
+    # A system keeps the index it cached while the extension was loaded;
+    # once the extension counts as unbuilt, every kernel runs the Python
+    # code and gives what the compiled one gave.
+    system = random_system(19, johnson_schonheim(19), 3)
+    entries = _planted(system, random.Random(19), False)
+    full = system.full_mask()
+    masks = [full ^ 1 << p for p in range(19)] + [sum(1 << p for p in entries[:9])]
+
+    def run():
+        return ([pure.find_partition(system, m) for m in masks],
+                [pure.can_partition(system, m) for m in masks],
+                pure.inadmissible_scan(system, entries),
+                pure.max_packing(system, 10_000),
+                pure.decide_search(system, 500, True))
+
+    expected = run()
+    assert type(system._native).__name__ == "PyCapsule"
+    assert any(expected[1]) and expected[2]
+    monkeypatch.setattr(pure, "_native", False)
+    tested = []
+    split = pure._split
+    monkeypatch.setattr(pure, "_split", lambda *args: tested.append(args) or split(*args))
+    assert run() == expected
+    assert tested and type(system._native).__name__ == "PyCapsule"
+
+
 def test_native_checks_its_arguments(native):
     system = random_system(13, johnson_schonheim(13), 1)
     handle = native.prepare(13, system.block_masks)
@@ -467,9 +498,10 @@ def test_build_is_cached_by_source_digest(native, monkeypatch, tmp_path):
         assert built.find(handle, full ^ 1 << p) == pure.find_partition(twin, full ^ 1 << p)
 
 
-def test_source_compiles_without_warnings(tmp_path):
-    # The build discards the compiler's messages, so a warning in the
-    # source would never show there; here every warning is an error.
+def _compile(tmp_path, *flags):
+    """Compile ``_native.c`` into ``tmp_path`` with the interpreter's
+    ``LDSHARED`` and ``CCSHARED`` flags and ``flags``; skips where there
+    is no compiler or no ``Python.h``.  Returns (path, completed run)."""
     config = sysconfig.get_config_vars()
     include = sysconfig.get_paths()["include"]
     cmd = shlex.split(f"{config.get('LDSHARED') or ''} {config.get('CCSHARED') or ''}")
@@ -477,8 +509,54 @@ def test_source_compiles_without_warnings(tmp_path):
         pytest.skip("no C compiler here")
     if not os.path.exists(os.path.join(include, "Python.h")):
         pytest.skip("no Python.h here")
-    cmd += ["-O2", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror",
-            "-I", include, pure._SOURCE, "-o", str(tmp_path / "_native.so")]
-    result = subprocess.run(cmd, capture_output=True, text=True, timeout=120,
-                            stdin=subprocess.DEVNULL)
+    path = tmp_path / f"_native{sysconfig.get_config_var('EXT_SUFFIX')}"
+    cmd += [*flags, "-I", include, pure._SOURCE, "-o", str(path)]
+    return path, subprocess.run(cmd, capture_output=True, text=True, timeout=120,
+                                stdin=subprocess.DEVNULL)
+
+
+def test_source_compiles_without_warnings(tmp_path):
+    # The build discards the compiler's messages, so a warning in the
+    # source would never show there; here every warning is an error.
+    _, result = _compile(tmp_path, "-O2", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror")
     assert result.returncode == 0, result.stderr
+
+
+def test_kernels_run_clean_under_ubsan(tmp_path):
+    # A build that aborts on undefined behaviour runs the walk, the scan
+    # and the packing search at orders 63 and 64, where a shift by the
+    # order would be undefined.  It is loaded in a child process.
+    path, result = _compile(tmp_path, "-O1", "-fsanitize=undefined",
+                            "-fno-sanitize-recover=undefined")
+    if result.returncode:
+        pytest.skip("the compiler does not build with -fsanitize=undefined here")
+    src = os.path.dirname(os.path.dirname(pure.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import importlib.util, random, sys\n"
+        "from pstseq import CyclicBase, _pykernels, cyclic_system, random_system, validate_system\n"
+        "_pykernels._native = False\n"
+        "spec = importlib.util.spec_from_file_location('pstseq._native', sys.argv[1])\n"
+        "native = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(native)\n"
+        "sts13 = cyclic_system(CyclicBase(13, ((0, 1, 4), (0, 2, 7))))\n"
+        "for n in (63, 64):\n"
+        "    top = validate_system(n, [[p + n - 13 for p in b.points] for b in sts13.blocks])\n"
+        "    for system in (random_system(n, n, 1), top):\n"
+        "        handle = native.prepare(n, system.block_masks)\n"
+        "        walks = [native.walk(handle, budget, exhaust, cap)\n"
+        "                 for budget in (None, 2_000) for exhaust in (False, True)\n"
+        "                 for cap in (2, 1 << 16) if budget or not exhaust]\n"
+        "        assert walks == [_pykernels.decide_search(system, budget, exhaust)\n"
+        "                         for budget in (None, 2_000) for exhaust in (False, True)\n"
+        "                         for cap in (2, 1 << 16) if budget or not exhaust]\n"
+        "        entries = random.Random(n).sample(range(n), n)\n"
+        "        native.scan(handle, entries, False)\n"
+        "        native.scan(handle, walks[0][0], False)\n"
+        "        native.pack(handle, 10_000)\n"
+        "print('clean')\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stdout) == (0, "clean\n"), result.stderr
