@@ -28,10 +28,8 @@ from .generators import (
 from .kernels import backend_name
 from .packing import (
     BadSetReport,
-    InducedMatching,
     PackingResult,
     bad_sets,
-    induced_matching,
     is_good_set,
     max_disjoint_blocks,
 )
@@ -43,7 +41,6 @@ from .sequencer import (
     Sts13Certificate,
     construct,
     decide,
-    extend,
     interleave_large,
     pi_template_instantiate,
     verify_sts13_certificate,
@@ -69,10 +66,8 @@ __all__ = [
     "random_system",
     "backend_name",
     "BadSetReport",
-    "InducedMatching",
     "PackingResult",
     "bad_sets",
-    "induced_matching",
     "is_good_set",
     "max_disjoint_blocks",
     "DEFAULT_BUDGET",
@@ -82,7 +77,6 @@ __all__ = [
     "Sts13Certificate",
     "construct",
     "decide",
-    "extend",
     "interleave_large",
     "pi_template_instantiate",
     "verify_sts13_certificate",

@@ -37,10 +37,6 @@ class OrderTooSmall(PstseqError):
     """The system order is below what the operation requires."""
 
 
-class PartContainsWholeBlock(PstseqError):
-    """A partition part coincides with one of the two reference blocks."""
-
-
 class WrongCardinality(PstseqError):
     """A point set has the wrong size for the requested operation."""
 
@@ -60,10 +56,6 @@ class NoAdmissibleLabeling(PstseqError):
     must never happen; seeing it there is a reportable defect, not a
     condition to swallow.
     """
-
-
-class ResidualNotAdmissible(PstseqError):
-    """The supplied residual sequence fails admissibility on the residual."""
 
 
 class RepairFailed(PstseqError):

@@ -1,4 +1,4 @@
-"""Disjoint-block structure: maximum packings, bad sets, induced matchings."""
+"""Disjoint-block structure: maximum packings and bad sets."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from .core import (
     _mask_of,
     partition_into_blocks,
 )
-from .errors import InputError, OrderTooSmall, PartContainsWholeBlock, WrongCardinality
+from .errors import InputError, OrderTooSmall, WrongCardinality
 
 
 class PackingResult(_Record):
@@ -36,20 +36,6 @@ class BadSetReport(_Record):
     m_size: int
     bad_sets: tuple[tuple[int, ...], ...]
     realizations: tuple[PartitionWitness, ...]
-
-
-class InducedMatching(_Record):
-    """How a 9-set partition threads two disjoint blocks.
-
-    Edge i joins the partition part i's point in the first block to its
-    point in the second; the label is the part's third point.
-    """
-
-    edges: tuple[tuple[int, int], ...]
-    labels: tuple[int, ...]
-
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
 
 
 def max_disjoint_blocks(system: TripleSystem, budget: Optional[int] = None) -> PackingResult:
@@ -139,39 +125,3 @@ def is_good_set(
     if witness is None:
         return True, None
     return False, witness
-
-
-def induced_matching(
-    nine_set_partition: PartitionWitness, a1: Block, a2: Block
-) -> InducedMatching:
-    """The perfect matching a 9-set partition induces between two blocks.
-
-    Each part must meet ``a1`` and ``a2`` in a single point; a part equal
-    to either block means no matching is induced and raises
-    PartContainsWholeBlock.
-    """
-    parts = nine_set_partition.parts
-    if len(parts) != 3:
-        raise WrongCardinality(f"expected a 3-part partition, got {len(parts)} parts")
-    if a1.mask & a2.mask:
-        raise ValueError(f"reference blocks are not disjoint: {a1.points}, {a2.points}")
-    union = nine_set_partition.mask()
-    if a1.mask & union != a1.mask or a2.mask & union != a2.mask:
-        raise ValueError("reference blocks must lie inside the partitioned set")
-    edges = []
-    labels = []
-    for part in parts:
-        if part == a1 or part == a2:
-            raise PartContainsWholeBlock(
-                f"partition part {part.points} equals a reference block"
-            )
-        in1 = [p for p in part if p in a1]
-        in2 = [p for p in part if p in a2]
-        rest = [p for p in part if p not in a1 and p not in a2]
-        if len(in1) != 1 or len(in2) != 1 or len(rest) != 1:
-            raise ValueError(
-                f"part {part.points} does not meet both blocks in single points"
-            )
-        edges.append((in1[0], in2[0]))
-        labels.append(rest[0])
-    return InducedMatching(edges=tuple(edges), labels=tuple(labels))

@@ -10,9 +10,8 @@ construction when the order allows, and to plain search otherwise.
 The paper's constructions lay the disjoint blocks and a few extra
 points into fixed positional patterns.  One search, ``_first_admissible``
 over the ``_PATTERNS`` table, serves a system with a single block, two
-disjoint blocks, three at order 9, the order-11 fallback, order 12 and
-the extension to larger orders; orders 10 and 11 keep their relabeling
-rules first.
+disjoint blocks, and three at every order from 9 up, where order 12's
+pattern with the other points appended is the paper's extension.
 """
 
 from __future__ import annotations
@@ -28,9 +27,7 @@ from .core import (
     Sequence,
     TripleSystem,
     _checked_budget,
-    _checked_permutation,
     _is_plain_int,
-    _mask_of,
     _Record,
     is_admissible,
     partition_into_blocks,
@@ -42,8 +39,6 @@ from .errors import (
     NoAdmissibleLabeling,
     NotSequenceableSystem,
     RepairFailed,
-    ResidualNotAdmissible,
-    SequenceNotPermutation,
 )
 from .generators import CyclicBase, cyclic_system
 from .packing import PackingResult, max_disjoint_blocks
@@ -177,8 +172,9 @@ def _construct_nu_le1(system: TripleSystem) -> Sequence:
 
 #: Positional patterns of the paper's constructions, keyed by (packing
 #: number, order); the key (1, 4) serves a system with one block at
-#: every order from 4 up, and the order-9 key of packing number 2 every
-#: order from 9 up.  Entry k names the label placed at position k:
+#: every order from 4 up, the order-9 key of packing number 2 every
+#: order from 9 up, and the order-12 key of packing number 3 every
+#: order from 12 up.  Entry k names the label placed at position k:
 #: labels 0-2 are the first block in role order, 3-5 the second, then
 #: the third block's labels (packing number 3) and the extra points.
 _PATTERNS = {
@@ -188,6 +184,7 @@ _PATTERNS = {
     (2, 8): (0, 1, 3, 2, 6, 4, 5, 7),
     (2, 9): (0, 1, 3, 2, 4, 6, 5, 7, 8),
     (3, 9): (6, 7, 3, 8, 4, 0, 5, 1, 2),
+    (3, 10): (0, 3, 4, 6, 5, 7, 2, 8, 9, 1),
     (3, 11): (10, 0, 1, 3, 2, 4, 6, 5, 7, 9, 8),
     (3, 12): (0, 1, 3, 2, 4, 6, 5, 7, 9, 8, 10, 11),
 }
@@ -230,98 +227,6 @@ def _pattern_route(system, blocks, key) -> Sequence:
     return Sequence(tuple(entries))
 
 
-def _splitting_points(system: TripleSystem, candidates, mask: int) -> set[int]:
-    """The candidates p whose removal from ``mask`` leaves a point set
-    that splits into disjoint blocks."""
-    return {p for p in candidates if _pykernels.can_partition(system, mask ^ (1 << p))}
-
-
-def _construct_ten(system: TripleSystem, witness) -> Sequence:
-    # The bad points: those whose complement splits into three blocks.
-    bad = _splitting_points(system, system.points(), system.full_mask())
-    wpoints = {p for blk in witness for p in blk}
-    a_pt = next(p for p in system.points() if p not in wpoints)
-
-    def good_count(blk):
-        return sum(1 for p in blk if p not in bad)
-
-    low = [blk for blk in witness if good_count(blk) < 2]
-    b3 = low[0] if low else witness[0]
-    others = [blk for blk in witness if blk is not b3]
-    nine = min(b3.points)
-
-    def has_hazard(blk):
-        return any(system.is_block((nine, x, a_pt)) for x in blk)
-
-    b1 = others[0] if not has_hazard(others[0]) else others[1]
-    if has_hazard(b1):
-        raise RuntimeError("internal error: both candidate blocks carry the hazard pair")
-    b2 = others[0] if b1 is others[1] else others[1]
-
-    goods = sorted(p for p in b1 if p not in bad)
-    bads = [p for p in b1 if p in bad]
-    assign = {1: goods[0], 2: goods[1], 3: bads[0] if bads else goods[2], 9: nine}
-    b3_rest = sorted(p for p in b3 if p != nine)
-    for l2 in itertools.permutations(sorted(b2.points)):
-        for l3 in itertools.permutations(b3_rest):
-            six, eight = l2[2], l3[1]
-            if (
-                not system.is_block((assign[3], six, eight))
-                and not system.is_block((assign[3], six, nine))
-                and not system.is_block((assign[3], six, a_pt))
-            ):
-                assign.update({4: l2[0], 5: l2[1], 6: six, 7: l3[0], 8: eight})
-                break
-        else:
-            continue
-        break
-    else:
-        raise RuntimeError("internal error: no hazard-free labeling of the order-10 blocks")
-    if system.is_block((assign[2], assign[6], nine)):
-        assign[1], assign[2] = assign[2], assign[1]
-    order = [assign[i] for i in (1, 4, 5, 7, 6, 8, 3, 9)] + [a_pt, assign[2]]
-    return _verified(system, order, "three-block order-10")
-
-
-def _construct_eleven(system: TripleSystem, witness) -> Sequence:
-    wpoints = sorted(p for blk in witness for p in blk)
-    wset = set(wpoints)
-    extras = [p for p in system.points() if p not in wset]
-    a_pt, b_pt = extras
-    full = system.full_mask()
-    good_a = wset - _splitting_points(system, wpoints, full ^ (1 << a_pt))
-    good_b = wset - _splitting_points(system, wpoints, full ^ (1 << b_pt))
-    common = sorted(good_a & good_b)
-    if not common:
-        return _pattern_route(system, witness, (3, 11))
-    nine = common[0]
-    b3 = next(blk for blk in witness if nine in blk)
-    others = [blk for blk in witness if blk is not b3]
-    b1 = next(blk for blk in others if sum(1 for p in blk if p in good_b) >= 2)
-    b2 = others[0] if b1 is others[1] else others[1]
-
-    gb = sorted(p for p in b1 if p in good_b)
-    assign = {1: gb[0], 2: gb[1], 3: next(p for p in b1 if p not in gb[:2]), 9: nine}
-    for off, p in enumerate(sorted(b2.points)):
-        assign[4 + off] = p
-    for off, p in enumerate(sorted(q for q in b3 if q != nine)):
-        assign[7 + off] = p
-
-    mid = sum(1 << p for p in (assign[3], assign[5], assign[7], assign[6], assign[8], a_pt))
-    if _pykernels.can_partition(system, mid):
-        assign[4], assign[5] = assign[5], assign[4]
-
-    pattern = (1, 2, 4, 3, 5, 7, 6, 8)
-    for swaps in ((), ((5, 6),), ((7, 8),), ((5, 6), (7, 8))):
-        trial = dict(assign)
-        for x, y in swaps:
-            trial[x], trial[y] = trial[y], trial[x]
-        order = [b_pt] + [trial[i] for i in pattern] + [a_pt, trial[9]]
-        if not _pykernels.inadmissible_scan(system, order, True):
-            return Sequence(tuple(order))
-    return _pattern_route(system, witness, (3, 11))
-
-
 def pi_template_instantiate(system: TripleSystem, disjoint_blocks) -> Labeling:
     """Search all labelings of the fixed 12-point positional pattern.
 
@@ -358,51 +263,6 @@ def pi_template_instantiate(system: TripleSystem, disjoint_blocks) -> Labeling:
         assignment=dict(zip("123456789abc", labels)),
         sequence=Sequence(tuple(entries)),
     )
-
-
-def extend(
-    system: TripleSystem, residual_points: Iterable[int], residual_sequence
-) -> Sequence:
-    """Grow an admissible 12-point residual sequence to the whole system.
-
-    The residual must be three disjoint blocks plus three points,
-    ordered by the positional template; the remaining points are
-    appended in canonical order and the result scanned once.  A
-    splitting segment inside the residual and short of all 12 points
-    raises ``ResidualNotAdmissible``, any other ``ValueError``.  A
-    residual point that is not an integer in ``range(system.n)`` raises
-    ``PointOutOfRange``.
-    """
-    mask = _mask_of(residual_points, system)
-    pts = [p for p in system.points() if mask >> p & 1]
-    if len(pts) != 12:
-        raise ValueError(f"residual must have 12 points, got {len(pts)}")
-    if system.n < 13:
-        raise ValueError(f"extension needs order >= 13, got {system.n}")
-    entries = tuple(
-        residual_sequence.entries
-        if isinstance(residual_sequence, Sequence)
-        else residual_sequence
-    )
-    if len(entries) != len(pts) or set(entries) != set(pts):
-        raise SequenceNotPermutation(
-            "residual sequence is not a permutation of the residual points"
-        )
-    placed = set(entries)
-    full = _checked_permutation(
-        entries + tuple(p for p in system.points() if p not in placed), system
-    )
-    hits = _pykernels.inadmissible_scan(system, full, False)
-    if any(start + length <= 12 and length < 12 for start, length, _ in hits):
-        raise ResidualNotAdmissible(
-            "the residual sequence is inadmissible on the induced subsystem"
-        )
-    if hits:
-        raise ValueError(
-            "extension came out inadmissible; the residual sequence must "
-            "follow the 12-point positional template"
-        )
-    return Sequence(full)
 
 
 def interleave_large(system: TripleSystem, k: int) -> Sequence:
@@ -517,11 +377,10 @@ def construct(system: TripleSystem, budget: Optional[int] = DEFAULT_BUDGET) -> S
 
     Dispatches on the exact disjoint-block number: for at most one
     disjoint block, direct recipes or, with a single block, the
-    positional-pattern search; the pattern search for two; the pattern
-    search and the order-10 and order-11 relabeling rules for three; the
-    interleaving construction for large sparse systems; and exhaustive
-    search as a last resort, within ``budget`` nodes.  Every returned
-    sequence has passed the admissibility checker.
+    positional-pattern search; the pattern search for two and for
+    three; the interleaving construction for large sparse systems; and
+    exhaustive search as a last resort, within ``budget`` nodes.  Every
+    returned sequence has passed the admissibility checker.
     """
     _checked_budget(budget)
     result = max_disjoint_blocks(system)
@@ -537,12 +396,9 @@ def construct(system: TripleSystem, budget: Optional[int] = DEFAULT_BUDGET) -> S
             # Roles reversed, the first two labelings are the paper's
             # and its 2<->3 swap.
             return _pattern_route(system, result.witness[::-1], (3, 9))
-        if n == 10:
-            return _construct_ten(system, result.witness)
-        if n == 11:
-            return _construct_eleven(system, result.witness)
-        # Order 12, and the paper's extension searched on the whole system.
-        return _pattern_route(system, result.witness, (3, 12))
+        # From order 12 on, the paper's extension searched on the whole
+        # system: the 12-point pattern with the other points appended.
+        return _pattern_route(system, result.witness, (3, min(n, 12)))
     if system.n >= 15 * nu - 5:
         return _interleave(system, result)
     decision = decide(system, budget=budget)

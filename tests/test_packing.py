@@ -1,4 +1,4 @@
-"""Maximum packings, bad sets, and induced-matching structure."""
+"""Maximum packings, bad sets, and the paper's 9-set lemmas."""
 
 import copy
 import functools
@@ -10,11 +10,9 @@ import pytest
 from pstseq import (
     Block,
     CyclicBase,
-    PartitionWitness,
     bad_sets,
     cyclic_system,
     friendship,
-    induced_matching,
     is_good_set,
     johnson_schonheim,
     max_disjoint_blocks,
@@ -24,7 +22,6 @@ from pstseq import (
 from pstseq.errors import (
     InputError,
     OrderTooSmall,
-    PartContainsWholeBlock,
     PointOutOfRange,
     WrongCardinality,
 )
@@ -367,51 +364,17 @@ class TestIsGoodSet:
                 assert good == ((p,) not in listed)
 
 
-class TestInducedMatching:
-    def test_threaded_partition(self):
-        # parts [1,5,8], [2,6,9], [4,7,b] against blocks {4,5,6} and {7,8,9}
-        # with 0-based points and b=9 mapped to point 9
-        witness = PartitionWitness(
-            (Block((0, 4, 7)), Block((1, 5, 8)), Block((3, 6, 9)))
-        )
-        a1, a2 = Block((3, 4, 5)), Block((6, 7, 8))
-        matching = induced_matching(witness, a1, a2)
-        assert matching.edges == ((4, 7), (5, 8), (3, 6))
-        assert matching.labels == (0, 1, 9)
-
-    @pytest.mark.parametrize("parts,a1,a2,error,message", [
-        ([(0, 4, 7), (1, 5, 8)], (3, 4, 5), (6, 7, 8),
-         WrongCardinality, "expected a 3-part partition"),
-        ([(0, 4, 7), (1, 5, 8), (3, 6, 9)], (3, 4, 5), (5, 6, 7),
-         ValueError, "reference blocks are not disjoint"),
-        ([(0, 4, 7), (1, 5, 8), (3, 6, 9)], (3, 4, 5), (2, 6, 7),
-         ValueError, "must lie inside the partitioned set"),
-        ([(0, 3, 4), (1, 5, 6), (2, 7, 8)], (3, 4, 5), (6, 7, 8),
-         ValueError, "does not meet both blocks in single points"),
-    ])
-    def test_bad_arguments_rejected(self, parts, a1, a2, error, message):
-        witness = PartitionWitness(tuple(Block(p) for p in parts))
-        with pytest.raises(error, match=message):
-            induced_matching(witness, Block(a1), Block(a2))
-
-    def test_part_equal_to_reference_block(self):
-        witness = PartitionWitness(
-            (Block((0, 1, 2)), Block((3, 4, 5)), Block((6, 7, 8)))
-        )
-        with pytest.raises(PartContainsWholeBlock):
-            induced_matching(witness, Block((0, 1, 2)), Block((3, 4, 5)))
-
-    def test_matching_edges_are_disjoint(self, rigid_cross_instance):
-        system = rigid_cross_instance
-        a1, a2 = Block((0, 1, 2)), Block((3, 4, 5))
-        base = set(range(6))
-        matchings = []
-        for d in (8, 9, 10):
-            parts = oracle_partitions(system, base | {6, 7, d})
-            assert len(parts) == 1
-            matchings.append(induced_matching(PartitionWitness(tuple(sorted(parts[0]))), a1, a2))
-        for m1, m2 in itertools.combinations(matchings, 2):
-            assert not m1.edge_set() & m2.edge_set()
+def _induced_matching(parts, a1, a2):
+    """The matching a 9-set partition induces between two disjoint blocks,
+    as {edge: label}: each part meets ``a1`` and ``a2`` in one point each,
+    joined by an edge labelled with the part's third point."""
+    matching = {}
+    for part in parts:
+        (u,) = [p for p in part if p in a1]
+        (v,) = [p for p in part if p in a2]
+        (label,) = [p for p in part if p not in a1 and p not in a2]
+        matching[u, v] = label
+    return matching
 
 
 class TestDisjointPairNineSets:
@@ -438,6 +401,18 @@ class TestDisjointPairNineSets:
             if not b1.mask & b2.mask:
                 yield b1, b2
 
+    def test_matching_edges_are_disjoint(self, rigid_cross_instance):
+        system = rigid_cross_instance
+        a1, a2 = Block((0, 1, 2)), Block((3, 4, 5))
+        base = set(range(6))
+        matchings = []
+        for d in (8, 9, 10):
+            parts = oracle_partitions(system, base | {6, 7, d})
+            assert len(parts) == 1
+            matchings.append(_induced_matching(parts[0], a1, a2))
+        for m1, m2 in itertools.combinations(matchings, 2):
+            assert not m1.keys() & m2.keys()
+
     def test_at_most_two_of_three_nine_sets_partition(self, two_partitions_instance):
         systems = [two_partitions_instance] + [random_system(11, 8, s) for s in range(10)]
         exercised = 0
@@ -456,13 +431,9 @@ class TestDisjointPairNineSets:
                         exercised += 1
                         for pa in partitioned[0]:
                             for pb in partitioned[1]:
-                                ma = induced_matching(
-                                    PartitionWitness(tuple(sorted(pa))), a1, a2
-                                )
-                                mb = induced_matching(
-                                    PartitionWitness(tuple(sorted(pb))), a1, a2
-                                )
-                                assert not ma.edge_set() & mb.edge_set()
+                                ma = _induced_matching(pa, a1, a2)
+                                mb = _induced_matching(pb, a1, a2)
+                                assert not ma.keys() & mb.keys()
         assert exercised >= 1
 
     def test_triple_partition_structure_is_rigid(self, rigid_cross_instance):
@@ -480,14 +451,13 @@ class TestDisjointPairNineSets:
         for d in (8, 9, 10):
             parts = oracle_partitions(system, base | {x, y, d})
             assert len(parts) == 1
-            matching = induced_matching(PartitionWitness(tuple(sorted(parts[0]))), a1, a2)
-            matchings[d] = matching
+            matchings[d] = _induced_matching(parts[0], a1, a2)
         for m1, m2 in itertools.combinations(matchings.values(), 2):
-            assert not m1.edge_set() & m2.edge_set()
+            assert not m1.keys() & m2.keys()
         x_edges = set()
         y_edges = set()
         for matching in matchings.values():
-            for edge, label in zip(matching.edges, matching.labels):
+            for edge, label in matching.items():
                 if label == x:
                     x_edges.add(edge)
                 elif label == y:

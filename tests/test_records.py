@@ -19,7 +19,6 @@ from pstseq import (
     Block,
     CyclicBase,
     Decision,
-    InducedMatching,
     Labeling,
     Outcome,
     PackingResult,
@@ -58,9 +57,6 @@ _RECORDS = {
         lambda: BadSetReport(3, ((0, 1, 2),), (PartitionWitness((B1, B2, B3)),)), "bad_sets",
         f"BadSetReport(m_size=3, bad_sets=((0, 1, 2),), "
         f"realizations=(PartitionWitness(parts=({_B123})),))"),
-    "InducedMatching": (
-        lambda: InducedMatching(((0, 3), (1, 4)), (6, 7)), "edges",
-        "InducedMatching(edges=((0, 3), (1, 4)), labels=(6, 7))"),
     "Decision": (
         lambda: Decision(Outcome.SEQUENCEABLE, Sequence((0, 1, 2)), 3, False, 3), "outcome",
         "Decision(outcome=<Outcome.SEQUENCEABLE: 'sequenceable'>, "

@@ -11,7 +11,6 @@ from pstseq import (
     construct,
     cyclic_system,
     decide,
-    extend,
     friendship,
     friendship_chain,
     interleave_large,
@@ -27,11 +26,8 @@ from pstseq.errors import (
     BudgetExhausted,
     InputError,
     NoAdmissibleLabeling,
-    PointOutOfRange,
     PstseqError,
     RepairFailed,
-    ResidualNotAdmissible,
-    SequenceNotPermutation,
 )
 from pstseq import sequencer
 from pstseq.sequencer import _interleave_order, _repair_three_segments
@@ -185,21 +181,32 @@ class TestConstructCorpus:
             assert is_admissible(decision.witness, system)
             assert is_admissible(construct(system), system)
 
-    def test_order11_systems_the_relabeling_rules_miss(self):
-        # Order 11 with three disjoint blocks, where the fixed relabeling
-        # rules find no admissible order and the pattern search must.
-        # Its pattern puts the blocks at positions {1, 2, 4}, {3, 5, 7}
-        # and {6, 8, 10} in some role order, the extra points at 0 and 9.
-        for target, seed in ((9, 383), (10, 4041), (11, 3113), (12, 764), (17, 19)):
-            system = random_system(11, target, seed)
-            result = max_disjoint_blocks(system)
-            assert result.nu == 3
-            seq = construct(system)
-            assert is_admissible(seq, system)
-            e = seq.entries
-            placed = {frozenset(e[i] for i in pos) for pos in ((1, 2, 4), (3, 5, 7), (6, 8, 10))}
-            assert placed == {frozenset(blk.points) for blk in result.witness}
-            assert {e[0], e[9]} == set(range(11)) - {p for blk in result.witness for p in blk}
+    def test_orders_10_and_11_fit_their_patterns(self):
+        # Every nu = 3 system of orders 10 and 11 gets the layout of the
+        # paper's relabeling rule for its order: at order 10 the blocks
+        # at positions {0, 6, 9}, {1, 2, 4} and {3, 5, 7} in some role
+        # order and the extra point at 8; at order 11 the blocks at
+        # {1, 2, 4}, {3, 5, 7} and {6, 8, 10}, the extra points at 0 and 9.
+        layouts = {
+            10: (((0, 6, 9), (1, 2, 4), (3, 5, 7)), (8,)),
+            11: (((1, 2, 4), (3, 5, 7), (6, 8, 10)), (0, 9)),
+        }
+        checked = {10: 0, 11: 0}
+        for n, (block_positions, extra_positions) in layouts.items():
+            for target in range(1, johnson_schonheim(n) + 1):
+                for seed in range(300):
+                    system = random_system(n, target, seed)
+                    result = max_disjoint_blocks(system)
+                    if result.nu != 3:
+                        continue
+                    e = construct(system).entries
+                    assert is_admissible(e, system)
+                    placed = {frozenset(e[i] for i in pos) for pos in block_positions}
+                    assert placed == {frozenset(blk.points) for blk in result.witness}
+                    covered = {p for blk in result.witness for p in blk}
+                    assert {e[i] for i in extra_positions} == set(range(n)) - covered
+                    checked[n] += 1
+        assert checked == {10: 1767, 11: 3403}
 
     def test_order9_is_the_paper_labeling(self):
         # The paper's order-9 recipe, computed here: the sorted witness
@@ -278,84 +285,6 @@ class TestPiTemplate:
             witness = max_disjoint_blocks(system).witness
             labeling = pi_template_instantiate(system, witness)
             assert is_admissible(labeling.sequence, system)
-
-
-class TestExtend:
-    def _residual_pieces(self, system):
-        witness = max_disjoint_blocks(system).witness
-        wpts = sorted(p for blk in witness for p in blk.points)
-        pool = [p for p in range(system.n) if p not in set(wpts)]
-        residual = wpts + pool[:3]
-        sub, back = system.subsystem(residual)
-        sub_blocks = tuple(
-            Block(tuple(sorted(back[p] for p in blk.points))) for blk in witness
-        )
-        labeling = pi_template_instantiate(sub, sub_blocks)
-        fwd = {new: old for old, new in back.items()}
-        return residual, [fwd[e] for e in labeling.sequence.entries]
-
-    def test_order13_full_sequence(self):
-        system = friendship_chain([2, 2, 2])
-        residual, residual_seq = self._residual_pieces(system)
-        seq = extend(system, residual, residual_seq)
-        assert is_admissible(seq, system)
-
-    def test_appended_tail_order_is_free(self):
-        system = padded(friendship_chain([2, 2, 2]), 15)
-        residual, residual_seq = self._residual_pieces(system)
-        seq = extend(system, residual, residual_seq)
-        assert is_admissible(seq, system)
-        rest = [p for p in range(system.n) if p not in set(residual)]
-        flipped = list(residual_seq) + list(reversed(rest))
-        assert is_admissible(flipped, system)
-
-    def test_bad_residual_rejected(self):
-        system = friendship_chain([2, 2, 2])
-        witness = max_disjoint_blocks(system).witness
-        wpts = sorted(p for blk in witness for p in blk.points)
-        pool = [p for p in range(system.n) if p not in set(wpts)]
-        residual = wpts + pool[:3]
-        with pytest.raises(ResidualNotAdmissible):
-            extend(system, residual, sorted(residual))
-
-    @pytest.mark.parametrize("n,residual,order,error,message", [
-        (13, range(11), range(11), ValueError, "residual must have 12 points"),
-        (12, range(12), range(12), ValueError, "extension needs order >= 13"),
-        (13, range(12), [*range(11), 12], SequenceNotPermutation, "not a permutation"),
-        (13, range(12), [*range(11), "11"], SequenceNotPermutation, "not a permutation"),
-    ])
-    def test_bad_residual_arguments_rejected(self, n, residual, order, error, message):
-        system = validate_system(n, [[0, 1, 2]])
-        with pytest.raises(error, match=message):
-            extend(system, residual, order)
-
-    def test_residual_points_out_of_range_rejected(self):
-        system = friendship_chain([2, 2, 2])
-        assert system.n == 13
-        for residual in ([-1, *range(11)], [*range(11), 16], list(map(str, range(12))),
-                         [None, *range(11)]):
-            with pytest.raises(PointOutOfRange):
-                extend(system, residual, residual)
-
-    def test_splitting_residual_prefix_is_value_error(self):
-        # Every proper residual segment is admissible, but the whole
-        # 12-point prefix of the extended sequence splits.
-        system = validate_system(13, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)])
-        order = [0, 3, 6, 9, 1, 4, 7, 10, 2, 5, 8, 11]
-        with pytest.raises(ValueError, match="extension came out inadmissible"):
-            extend(system, range(12), order)
-
-    def test_block_across_the_tail_is_value_error(self):
-        system = validate_system(14, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (2, 12, 13)])
-        order = [0, 3, 6, 9, 1, 4, 7, 10, 5, 8, 11, 2]
-        with pytest.raises(ValueError, match="extension came out inadmissible"):
-            extend(system, range(12), order)
-
-    def test_block_inside_the_residual_is_residual_error(self):
-        system = validate_system(14, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (2, 12, 13)])
-        order = [0, 1, 2, 3, 6, 9, 4, 7, 10, 5, 8, 11]
-        with pytest.raises(ResidualNotAdmissible):
-            extend(system, range(12), order)
 
 
 class TestInterleave:
@@ -484,12 +413,29 @@ class TestSts13Certificate:
             assert not is_admissible(perm, STS13)
 
 
+def _split_digests(cases):
+    # Two golden digests over (system, route) cases: one over the nu = 3
+    # systems of orders 10 and 11, whose outputs are the first admissible
+    # labeling of their positional pattern, and one over every other
+    # case.  Any change to a returned sequence or to the error raised
+    # changes one of them.  Returns (other, order 10-11) as (count, hex).
+    digests = {False: hashlib.sha256(), True: hashlib.sha256()}
+    counts = {False: 0, True: 0}
+    for system, route in cases:
+        part = system.n in (10, 11) and max_disjoint_blocks(system).nu == 3
+        try:
+            got = route(system).entries
+        except PstseqError as exc:
+            got = type(exc).__name__
+        digests[part].update(f"{system.n} {system.block_masks} {got}\n".encode())
+        counts[part] += 1
+    return tuple((counts[part], digests[part].hexdigest()) for part in (False, True))
+
+
 def test_construct_outputs_are_pinned():
-    # A golden digest of construct over every route: random systems of
-    # orders 0-24 (nu <= 1, nu = 2, orders 9-12, extend, search), hub
-    # systems with nu = 3 at orders 13-40 (extend) and nu = 4 at orders
-    # 55-60 (interleave).  Any change to a returned sequence or to the
-    # error raised changes it.
+    # Construct over every route: random systems of orders 0-24 (nu <= 1,
+    # nu = 2, three blocks at orders 9-24, search), hub systems with
+    # nu = 3 at orders 13-40 and nu = 4 at orders 55-60 (interleave).
     systems = []
     for n in range(25):
         bound = johnson_schonheim(n)
@@ -497,27 +443,23 @@ def test_construct_outputs_are_pinned():
             systems += [random_system(n, target, seed) for seed in range(3)]
     systems += [hub_system(n, 3, n) for n in range(13, 41)]
     systems += [hub_system(n, 4, n) for n in range(55, 61)]
-    digest = hashlib.sha256()
-    for system in systems:
-        try:
-            got = construct(system, budget=500).entries
-        except PstseqError as exc:
-            got = type(exc).__name__
-        digest.update(f"{system.n} {system.block_masks} {got}\n".encode())
-    assert len(systems) == 235
-    assert digest.hexdigest() == (
-        "b4151178405d6ca301ba6c0e5085aaa50f93e84990d32b0a7af9ddf86cd1eaaf"
+    other, orders_10_11 = _split_digests(
+        [(system, lambda s: construct(s, budget=500)) for system in systems]
+    )
+    assert other == (
+        225, "8fca00f1f304dcba195cbc16b636d497d7b96f7761fc0fec4a090c8194ffad77"
+    )
+    assert orders_10_11 == (
+        10, "6458904115f9f515e2dedde7a744857b0dd504eb3ef45492314f97b6065e6750"
     )
 
 
 def test_checked_routes_are_pinned():
-    # A golden digest of the routes that check each candidate once:
-    # the nu <= 1 recipes (random systems of orders 3-30 with up to four
-    # blocks, and the friendship systems), the order-11 relabeling rules
-    # on every nu = 3 system at every target, and the interleaving
-    # construction on hub systems with nu = 1-6 at orders 15nu-5 to
-    # 15nu+5.  Any change to a returned sequence or to the error raised
-    # changes it.
+    # The routes that check each candidate once: the nu <= 1 recipes
+    # (random systems of orders 3-30 with up to four blocks, and the
+    # friendship systems), the order-11 pattern search on every nu = 3
+    # system at every target, and the interleaving construction on hub
+    # systems with nu = 1-6 at orders 15nu-5 to 15nu+5.
     cases = []
     for n in range(3, 31):
         for target in range(1, min(4, johnson_schonheim(n)) + 1):
@@ -537,14 +479,10 @@ def test_checked_routes_are_pinned():
                 cases.append(
                     (hub_system(n, k, seed), lambda s, k=k: interleave_large(s, k))
                 )
-    digest = hashlib.sha256()
-    for system, route in cases:
-        try:
-            got = route(system).entries
-        except PstseqError as exc:
-            got = type(exc).__name__
-        digest.update(f"{system.n} {system.block_masks} {got}\n".encode())
-    assert len(cases) == 1282
-    assert digest.hexdigest() == (
-        "6cf229995bd2038934f4ff6b28e6e1a556fca9508f2990e70f40b7566eec6b15"
+    other, orders_10_11 = _split_digests(cases)
+    assert other == (
+        625, "b0fc82c54e82311871750bef83503c216f17882f5f815264b8eaf6bd178582a1"
+    )
+    assert orders_10_11 == (
+        657, "238e2eeb36e7383c4b7fbbd46d8f994df3394a910e0f8dff541d2c0a3c21167a"
     )
